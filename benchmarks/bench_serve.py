@@ -107,7 +107,6 @@ def test_bench_serve(tmp_path, quick):
         for key in (
             "max_batch",
             "max_wait_us",
-            "executor",
             "jobs_in",
             "jobs_out",
             "refused",

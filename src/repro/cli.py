@@ -666,8 +666,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batching=BatchPolicy(
             max_batch=args.batch_max,
             max_wait_us=args.batch_wait_us,
-            workers=args.score_workers,
-            executor=args.score_executor,
         ),
     )
 
@@ -1037,20 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="US",
         help="max microseconds a forming batch waits for co-travellers "
         "(single-job batches bypass the wait entirely)",
-    )
-    serve.add_argument(
-        "--score-workers",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="scoring worker pool size for fused batch dispatch",
-    )
-    serve.add_argument(
-        "--score-executor",
-        choices=("process", "thread", "serial"),
-        default="thread",
-        help="worker pool kind; degrades process->thread->serial on "
-        "pool failure",
     )
     serve.add_argument(
         "--ready-file",

@@ -21,12 +21,7 @@ Modules:
 """
 
 from repro.serve.admission import AdmissionPolicy, Deadline, TenantLane
-from repro.serve.batching import (
-    BatchPolicy,
-    BatchScheduler,
-    ScoreJob,
-    ScoreWorkerPool,
-)
+from repro.serve.batching import BatchPolicy, BatchScheduler, ScoreJob
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.chaos import SERVE_FAULT_KINDS, ChaosDirector, ServeFaultSchedule
 from repro.serve.loadgen import LoadGenerator, LoadPlan, LoadReport, run_load
@@ -55,7 +50,6 @@ __all__ = [
     "ScoreJob",
     "ScoreOutcome",
     "ScorePipeline",
-    "ScoreWorkerPool",
     "ScoringServer",
     "ServeFaultSchedule",
     "TenantJournal",

@@ -27,6 +27,7 @@ formation latency stay separable in traces.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable
@@ -96,14 +97,22 @@ class AdmissionPolicy:
                 f"{self.default_budget} vs {self.max_budget}"
             )
 
-    def budget_for(self, requested: float | None) -> float:
-        """Clamp a client-requested budget into policy bounds."""
+    def budget_for(self, requested: object) -> float:
+        """Clamp a client-requested budget into policy bounds.
+
+        ``requested`` is the raw JSON value: anything that is not a
+        finite number > 0 refuses with 422 ``invalid-deadline``.
+        """
         if requested is None:
             return self.default_budget
-        budget = float(requested)
-        if budget <= 0:
+        try:
+            budget = float(requested)
+        except (TypeError, ValueError, OverflowError):
+            budget = math.nan
+        if not (math.isfinite(budget) and budget > 0):
             raise ScoreRefusal(
-                f"requested budget must be > 0, got {budget}",
+                "requested budget must be a finite number > 0, "
+                f"got {requested!r}",
                 status=422,
                 reason="invalid-deadline",
             )

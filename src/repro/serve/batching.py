@@ -15,19 +15,13 @@ closes that gap with an inference-server-style micro-batcher:
   immediately (**solo** — single-job batches bypass the wait);
 * :class:`BatchScheduler` — drains jobs from every tenant lane into
   one queue, forms batches, groups each batch by
-  ``(family, window, alphabet)`` and dispatches every group as one
-  fused kernel call (:meth:`~repro.serve.pipeline.ScorePipeline
-  .score_group`) on the worker pool;
-* :class:`ScoreWorkerPool` — the execution substrate, reusing the
-  runtime's process→thread→serial degradation ladder
-  (:data:`~repro.runtime.resilience.DEGRADATION_CHAIN`): a broken
-  process pool degrades to threads, a broken thread pool to inline
-  execution, with a fail-fast probe so a doomed process pool is
-  discovered at startup rather than mid-flush.  Process dispatch
-  ships each group's fused stream through the shared-memory
-  :class:`~repro.runtime.arena.WindowArena` when available and
-  rebuilds detectors in the child from their exported fit state
-  (documented bit-identical).
+  ``(family, window, alphabet)`` and runs every group as one fused
+  kernel call (:meth:`~repro.serve.pipeline.ScorePipeline
+  .score_group`) on the event-loop thread.
+
+At serving size a group's kernel work is a fraction of a millisecond,
+less than a thread hand-off costs, so groups run inline: no worker
+pool, no executor, no GIL ping-pong between the loop and a worker.
 
 **Flush reasons** — every flush is tagged with why it happened, and
 the counters cross-check under ``repro trace validate``:
@@ -51,13 +45,10 @@ loadgen no-wrong-score invariant holds with batching on or off.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.exceptions import ScoreRefusal
 from repro.runtime import telemetry
-from repro.runtime.resilience import DEGRADATION_CHAIN
 from repro.serve.pipeline import ScoreOutcome, ScorePipeline
 
 __all__ = [
@@ -65,14 +56,10 @@ __all__ = [
     "BatchPolicy",
     "BatchScheduler",
     "ScoreJob",
-    "ScoreWorkerPool",
 ]
 
 #: Why a batch left the scheduler (see module docstring).
 FLUSH_REASONS = ("solo", "full", "timeout", "drain")
-
-#: Executor kinds, best first — the runtime's degradation ladder.
-_EXECUTOR_KINDS = ("process", "thread", "serial")
 
 
 @dataclass(frozen=True)
@@ -85,15 +72,10 @@ class BatchPolicy:
         max_wait_us: longest a partially filled batch may wait for
             company, in microseconds, measured from the *oldest*
             member's enqueue time.  0 disables waiting entirely.
-        workers: worker-pool size for fused kernel dispatch.
-        executor: starting rung of the execution ladder —
-            ``process``, ``thread`` (default) or ``serial``.
     """
 
     max_batch: int = 32
     max_wait_us: float = 250.0
-    workers: int = 4
-    executor: str = "thread"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -102,22 +84,15 @@ class BatchPolicy:
             raise ValueError(
                 f"max_wait_us must be >= 0, got {self.max_wait_us}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in _EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTOR_KINDS}, "
-                f"got {self.executor!r}"
-            )
 
 
 class ScoreJob:
     """One queued score request and the future its lane awaits.
 
     Carries everything :meth:`ScorePipeline.score_group` needs to
-    resolve the job *at scoring time* — tenant state is re-fetched in
-    the worker, so a tenant quarantined between enqueue and flush
-    refuses then, exactly like the sequential path.
+    resolve the job *at scoring time* — tenant state is re-fetched
+    when the group runs, so a tenant quarantined between enqueue and
+    flush refuses then, exactly like the sequential path.
     """
 
     __slots__ = (
@@ -163,164 +138,6 @@ class ScoreJob:
         return (self.family, self.window, self.alphabet_size)
 
 
-def _probe() -> int:
-    """Fail-fast payload for validating a fresh process pool."""
-    return 42
-
-
-class ScoreWorkerPool:
-    """Execution substrate with the process→thread→serial ladder.
-
-    Mirrors :data:`~repro.runtime.resilience.DEGRADATION_CHAIN`: a
-    rung that breaks (a process pool that cannot fork or loses its
-    children, a shut-down thread pool) degrades permanently to the
-    next rung instead of failing jobs.  ``serial`` runs the callable
-    inline on the scheduler task — the last-resort rung that always
-    works.
-
-    Args:
-        workers: pool size for the process/thread rungs.
-        kind: starting rung (``process`` | ``thread`` | ``serial``).
-    """
-
-    def __init__(self, workers: int = 4, kind: str = "thread") -> None:
-        if kind not in _EXECUTOR_KINDS:
-            raise ValueError(
-                f"kind must be one of {_EXECUTOR_KINDS}, got {kind!r}"
-            )
-        self._workers = int(workers)
-        self.kind = kind
-        self.degradations: list[str] = []
-        self._process: ProcessPoolExecutor | None = None
-        self._threads: ThreadPoolExecutor | None = None
-        self._arena = None
-        self._shared: dict[str, object] = {}
-        if self.kind == "process" and not self._start_process_pool():
-            self._degrade("process pool failed its startup probe")
-
-    def _start_process_pool(self) -> bool:
-        """Build and probe a process pool; False when it cannot work."""
-        try:
-            pool = ProcessPoolExecutor(max_workers=self._workers)
-            if pool.submit(_probe).result(timeout=30.0) != 42:
-                raise RuntimeError("probe returned a wrong value")
-        except BaseException:
-            return False
-        self._process = pool
-        return True
-
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        if self._threads is None:
-            self._threads = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="serve-batch"
-            )
-        return self._threads
-
-    def _degrade(self, why: str) -> None:
-        nxt = DEGRADATION_CHAIN.get(self.kind)
-        if nxt is None:
-            return
-        self.degradations.append(f"{self.kind}->{nxt}: {why}")
-        telemetry.count("serve.batch.degraded")
-        telemetry.event(
-            "serve", "batch.degraded", rung=f"{self.kind}->{nxt}", why=why
-        )
-        self.kind = nxt
-
-    async def run(self, fn):
-        """Run ``fn()`` on the current rung; degrade on rung failure.
-
-        Job-level exceptions propagate to the caller unchanged; only
-        *executor-level* failures (a broken pool) consume a rung.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            if self.kind == "process" and self._process is not None:
-                try:
-                    return await loop.run_in_executor(self._process, fn)
-                except BrokenProcessPool as error:
-                    self._process = None
-                    self._degrade(f"process pool broke: {error}")
-                    continue
-            if self.kind == "thread" or (
-                self.kind == "process" and self._process is None
-            ):
-                try:
-                    return await loop.run_in_executor(self._thread_pool(), fn)
-                except RuntimeError as error:
-                    # A shut-down/broken thread pool refuses submissions.
-                    if "shutdown" not in str(error).lower():
-                        raise
-                    self.kind = "thread"
-                    self._degrade(f"thread pool unavailable: {error}")
-                    continue
-            return fn()
-
-    async def run_in_thread(self, fn):
-        """Run ``fn()`` on the thread rung regardless of current kind.
-
-        Process-rung dispatch uses this for its prepare/finalize
-        phases, which need in-process tenant state.
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._thread_pool(), fn)
-
-    @property
-    def process_pool(self) -> ProcessPoolExecutor | None:
-        """The live process pool, if the process rung is active."""
-        return self._process if self.kind == "process" else None
-
-    def publish_streams(self, streams) -> tuple[object | None, list[int]]:
-        """Ship a group's streams via the shared-memory arena.
-
-        Concatenates the streams, publishes the fused array into a
-        :class:`~repro.runtime.arena.WindowArena` segment and returns
-        ``(descriptor, lengths)`` for the child to re-split.  Returns
-        ``(None, [])`` when shared memory is unavailable — the caller
-        falls back to pickling the streams.
-        """
-        import numpy as np
-
-        if self._arena is None:
-            from repro.runtime.arena import WindowArena
-
-            if not WindowArena.available():
-                return None, []
-            try:
-                self._arena = WindowArena()
-            except Exception:
-                return None, []
-        try:
-            concat = np.concatenate(
-                [np.ascontiguousarray(s) for s in streams]
-            )
-            descriptor = self._arena.publish(concat)
-        except Exception:
-            return None, []
-        self._shared[descriptor.name] = concat
-        return descriptor, [len(s) for s in streams]
-
-    def release_streams(self, descriptor) -> None:
-        """Release a :meth:`publish_streams` segment (no-op on None)."""
-        if descriptor is None or self._arena is None:
-            return
-        concat = self._shared.pop(descriptor.name, None)
-        if concat is not None:
-            self._arena.release(concat)
-
-    def shutdown(self) -> None:
-        """Release both pools and any live arena segments."""
-        if self._process is not None:
-            self._process.shutdown(wait=False, cancel_futures=True)
-            self._process = None
-        if self._threads is not None:
-            self._threads.shutdown(wait=True, cancel_futures=True)
-            self._threads = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
-
-
 class BatchScheduler:
     """Drains score jobs across tenant lanes into fused kernel calls.
 
@@ -328,15 +145,15 @@ class BatchScheduler:
     ready, applies the formation policy (solo bypass / fill to
     ``max_batch`` / wait out ``max_wait_us``), tags the flush with its
     reason, splits the batch into ``(family, window, alphabet)``
-    groups and dispatches each group to the worker pool **without
-    awaiting it** — group execution overlaps the next batch's
-    formation, which is where the throughput comes from.
+    groups and scores each group inline, resolving its jobs' futures
+    before it takes the next batch.  The throughput comes from fusion
+    (one kernel pass per group) and from never leaving the loop
+    thread.
 
     Args:
         pipeline: the scoring pipeline (owns fused group scoring).
         chaos: fault director, threaded through to per-job corruption.
         policy: formation knobs; ``None`` uses defaults.
-        pool: worker pool; ``None`` builds one from the policy.
     """
 
     def __init__(
@@ -344,19 +161,12 @@ class BatchScheduler:
         pipeline: ScorePipeline,
         chaos,
         policy: BatchPolicy | None = None,
-        pool: ScoreWorkerPool | None = None,
     ) -> None:
         self.policy = policy if policy is not None else BatchPolicy()
-        self.pool = (
-            pool
-            if pool is not None
-            else ScoreWorkerPool(self.policy.workers, self.policy.executor)
-        )
         self._pipeline = pipeline
         self._chaos = chaos
         self._queue: asyncio.Queue[ScoreJob | None] = asyncio.Queue()
         self._task: asyncio.Task | None = None
-        self._groups: set[asyncio.Task] = set()
         self._closing = False
         self.jobs_in = 0
         self.jobs_out = 0
@@ -484,25 +294,14 @@ class BatchScheduler:
         for group in groups.values():
             self.group_count += 1
             telemetry.count("serve.batch.groups")
-            task = asyncio.get_running_loop().create_task(
-                self._run_group(group)
-            )
-            self._groups.add(task)
-            task.add_done_callback(self._groups.discard)
+            self._run_group(group)
 
     # -- group execution ---------------------------------------------------
 
-    async def _run_group(self, jobs: list[ScoreJob]) -> None:
+    def _run_group(self, jobs: list[ScoreJob]) -> None:
         try:
-            if self.pool.process_pool is not None:
-                results = await self._pipeline.score_group_in_process(
-                    jobs, self._chaos, self.pool
-                )
-            else:
-                results = await self.pool.run(
-                    lambda: self._pipeline.score_group(jobs, self._chaos)
-                )
-        except Exception as error:  # executor died past every rung
+            results = self._pipeline.score_group(jobs, self._chaos)
+        except Exception as error:  # every future must still resolve
             results = [error] * len(jobs)
         for job, result in zip(jobs, results):
             if job.future.done():
@@ -529,16 +328,13 @@ class BatchScheduler:
     # -- lifecycle ---------------------------------------------------------
 
     async def close(self) -> None:
-        """Stop admitting, flush what is queued, finish group tasks."""
+        """Stop admitting and flush what is queued."""
         if self._closing:
             return
         self._closing = True
         if self._task is not None and not self._task.done():
             self._queue.put_nowait(None)
             await self._task
-        if self._groups:
-            await asyncio.gather(*tuple(self._groups), return_exceptions=True)
-        self.pool.shutdown()
 
     def snapshot(self) -> dict:
         """Scheduler state for the stats endpoint."""
@@ -546,8 +342,6 @@ class BatchScheduler:
         return {
             "max_batch": self.policy.max_batch,
             "max_wait_us": self.policy.max_wait_us,
-            "executor": self.pool.kind,
-            "degradations": list(self.pool.degradations),
             "jobs_in": self.jobs_in,
             "jobs_out": self.jobs_out,
             "refused": self.refused,

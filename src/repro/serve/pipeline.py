@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detectors import create_detector
 from repro.exceptions import ScoreRefusal
 from repro.runtime import telemetry
 from repro.runtime.automaton import BatchStreamCodes
@@ -67,8 +66,9 @@ class ScoreOutcome:
 class ScorePipeline:
     """Validated, deadline-aware, ladder-degrading scoring.
 
-    Synchronous on purpose: the server runs it inside the lane
-    executor, so the event loop never blocks on NumPy.
+    Synchronous on purpose: the server calls it on the event-loop
+    thread, where a serving-size score costs less than a hand-off to
+    a worker thread would.
 
     Args:
         tenants: the tenant state store (fit cache lives there).
@@ -173,13 +173,12 @@ class ScorePipeline:
     ) -> tuple[list, list[tuple[int, TenantState, np.ndarray, object]]]:
         """Resolve state, validation and detectors for a job group.
 
-        Runs in a worker thread.  Per-job failures (unknown or
-        quarantined tenant, invalid or chaos-poisoned events, a spent
-        deadline, a cell the tenant cannot support) land in the result
-        slot for *that job only* — a poisoned member never blocks its
-        batchmates.  Tenant state is fetched here, at scoring time, so
-        a tenant quarantined after enqueue refuses exactly like the
-        sequential path would.
+        Per-job failures (unknown or quarantined tenant, invalid or
+        chaos-poisoned events, a spent deadline, a cell the tenant
+        cannot support) land in the result slot for *that job only* —
+        a poisoned member never blocks its batchmates.  Tenant state is
+        fetched here, at scoring time, so a tenant quarantined after
+        enqueue refuses exactly like the sequential path would.
 
         Returns:
             ``(results, prepared)`` — the per-job result list with
@@ -222,10 +221,9 @@ class ScorePipeline:
     def score_group(self, jobs: list, chaos) -> list:
         """Score one fused group (same family, window, alphabet).
 
-        The thread/serial execution body: prepare every job, fuse the
-        surviving streams into **one** kernel pass — a
-        :class:`~repro.runtime.automaton.BatchStreamCodes` pack for
-        the packed families, a
+        Prepare every job, fuse the surviving streams into **one**
+        kernel pass — a :class:`~repro.runtime.automaton
+        .BatchStreamCodes` pack for the packed families, a
         :func:`~repro.runtime.kernels.fused_stream_windows` slide for
         the rest — and slice each job's responses out by its span.  A
         job whose fused kernel fails falls back to the sequential
@@ -318,157 +316,6 @@ class ScorePipeline:
                 except Exception as error:
                     results[i] = error
 
-    async def score_group_in_process(self, jobs: list, chaos, pool) -> list:
-        """Score a group on the pool's *process* rung.
-
-        Prepare runs in a thread (tenant state is not shippable), the
-        fused kernels run in a child process on a payload of exported
-        fit states — :meth:`~repro.detectors.base.AnomalyDetector
-        .import_fit_state` round-trips are documented bit-identical —
-        with the concatenated streams riding the shared-memory
-        :class:`~repro.runtime.arena.WindowArena` when available.  Any
-        member the child cannot score (no exportable fit state, a
-        kernel error) falls back to the sequential ladder in a thread.
-        """
-        started = time.monotonic()
-
-        def _prepare() -> tuple[list, list, dict | None]:
-            results, prepared = self.prepare_group(jobs, chaos)
-            if not prepared:
-                return results, prepared, None
-            sample = jobs[prepared[0][0]]
-            alphabet = prepared[0][1].alphabet_size
-            fit_states = []
-            for _i, _state, _data, _detector in prepared:
-                snapshot = self._tenants.detector_payload(
-                    _state, sample.family, sample.window
-                )
-                fit_states.append(
-                    None if snapshot is None else snapshot["fit_state"]
-                )
-            payload = {
-                "family": sample.family,
-                "window": sample.window,
-                "alphabet": alphabet,
-                "fit_states": fit_states,
-                "streams": [data for _, _, data, _ in prepared],
-            }
-            return results, prepared, payload
-
-        results, prepared, payload = await pool.run_in_thread(_prepare)
-        if payload is None:
-            return results
-        descriptor, lengths = pool.publish_streams(payload["streams"])
-        if descriptor is not None:
-            payload = dict(payload, streams=None, descriptor=descriptor,
-                           lengths=lengths)
-        try:
-            verdicts = await pool.run(_ProcessGroupCall(payload))
-        except Exception:
-            telemetry.count("serve.batch.fallback")
-            verdicts = [("error", "process rung failed")] * len(prepared)
-        finally:
-            pool.release_streams(descriptor)
-
-        def _finalize() -> list:
-            for k, (i, state, data, detector) in enumerate(prepared):
-                job = jobs[i]
-                kind, value = verdicts[k]
-                if kind == "ok":
-                    telemetry.count("serve.score")
-                    results[i] = ScoreOutcome(
-                        scores=tuple(value.tolist()),
-                        family=job.family,
-                        window=job.window,
-                        tier=TIER_FUSED,
-                        attempts=1,
-                        elapsed=time.monotonic() - started,
-                    )
-                    continue
-                telemetry.count("serve.batch.fallback")
-                try:
-                    results[i] = self.score(
-                        state, job.family, job.window, data, job.deadline
-                    )
-                except Exception as error:
-                    results[i] = error
-            return results
-
-        return await pool.run_in_thread(_finalize)
-
 
 class _FusePlanUnavailable(Exception):
     """Internal: no fused plan for this group; take the ladder."""
-
-
-class _ProcessGroupCall:
-    """Picklable callable scoring one fused group in a child process.
-
-    Rebuilds each member's detector from its exported fit state and
-    runs the same fused kernels the thread path runs.  Returns one
-    ``("ok", scores)`` or ``("error", message)`` verdict per member —
-    exceptions never cross the process boundary as pickled state.
-    """
-
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
-
-    def __call__(self) -> list[tuple[str, object]]:
-        payload = self.payload
-        family = payload["family"]
-        window = payload["window"]
-        alphabet = payload["alphabet"]
-        streams = payload["streams"]
-        try:
-            if streams is None:
-                from repro.runtime.arena import attach_array
-
-                concat = attach_array(payload["descriptor"])
-                streams, offset = [], 0
-                for length in payload["lengths"]:
-                    streams.append(
-                        np.array(concat[offset : offset + length])
-                    )
-                    offset += length
-            verdicts: list[tuple[str, object]] = []
-            detectors = []
-            for fit_state in payload["fit_states"]:
-                detector = None
-                if fit_state is not None:
-                    candidate = create_detector(family, window, alphabet)
-                    if candidate.import_fit_state(fit_state):
-                        detector = candidate
-                detectors.append(detector)
-            use_packed = family in _PACKED_FAMILIES and packable(
-                alphabet, window
-            )
-            plan = (
-                BatchStreamCodes(streams, alphabet, window)
-                if use_packed
-                else fused_stream_windows(streams, window)
-            )
-            for k, detector in enumerate(detectors):
-                if detector is None:
-                    verdicts.append(("error", "no shippable fit state"))
-                    continue
-                try:
-                    if use_packed:
-                        scores = detector.score_packed(plan.keys(k, window))
-                    else:
-                        windows, spans = plan
-                        start, stop = spans[k]
-                        scores = detector.score_windows(windows[start:stop])
-                    verdicts.append(("ok", scores))
-                except Exception as error:
-                    verdicts.append(
-                        ("error", f"{type(error).__name__}: {error}")
-                    )
-            return verdicts
-        except Exception as error:
-            message = f"{type(error).__name__}: {error}"
-            return [("error", message)] * len(payload["fit_states"])
-        finally:
-            if payload.get("descriptor") is not None:
-                from repro.runtime.arena import detach_all
-
-                detach_all()

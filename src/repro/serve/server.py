@@ -8,16 +8,20 @@ Request path for tenant operations::
 
     HTTP parse → route → breaker.admit → lane.submit   (429 when full)
       lane worker: deadline check → chaos hooks →
-        train: validate → WAL append → snapshot            (executor)
+        train: validate → WAL append → ingest → snapshot   (inline)
         score: hand off to the batch scheduler → fused
-               kernel call on the worker pool               (batcher)
+               kernel call per group                        (batcher)
 
-NumPy work runs off the event loop — train jobs on a thread-pool
-executor, score jobs through the cross-tenant micro-batcher
-(:mod:`repro.serve.batching`), which fuses queued jobs from many
-lanes into one kernel call per (family, window, alphabet) group.
-Per-tenant order is still serial because each lane awaits its job's
-batched outcome before taking the next.
+Every tenant operation runs on the event-loop thread.  Trains run
+inline in their lane job; scores go through the cross-tenant
+micro-batcher (:mod:`repro.serve.batching`), which fuses queued jobs
+from many lanes into one kernel call per (family, window, alphabet)
+group.  The detectors are table lookups over short windows, so at
+serving size a score or an ingest costs less than a hand-off to a
+worker thread would.  The price is that a long operation — an
+fsync'd WAL append (``fsync=True``) or a cold refit — blocks the loop
+for its duration.  Per-tenant order is serial because each lane
+awaits its job's outcome before taking the next.
 
 Connections are **keep-alive** by default (HTTP/1.1): a client may
 pipeline any number of requests over one connection; the server
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from repro.exceptions import ScoreRefusal
@@ -93,12 +96,11 @@ class ScoringServer:
             (``--retries`` semantics).
         snapshot_every: tenant snapshot cadence (0 disables).
         fsync: fsync WAL appends (power-loss durability).
-        executor_workers: train-job thread-pool size.
         models: optional tiered fleet model store (hot LRU → mmap
             shards → cold); enables delta-fits on ingest.
         delta_verify_every: delta-fit verify cadence (0 disables).
         batching: micro-batcher knobs (``--batch-max``,
-            ``--batch-wait-us``, ``--score-workers``); defaults to
+            ``--batch-wait-us``); defaults to
             :class:`~repro.serve.batching.BatchPolicy`.
         keepalive_timeout: idle seconds before a kept-alive
             connection is closed.
@@ -114,7 +116,6 @@ class ScoringServer:
         retries: int = 1,
         snapshot_every: int = 8,
         fsync: bool = False,
-        executor_workers: int = 4,
         models: ShardedStore | None = None,
         delta_verify_every: int = 0,
         batching: BatchPolicy | None = None,
@@ -139,9 +140,6 @@ class ScoringServer:
         self._host = host
         self._port = port
         self._server: asyncio.Server | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="serve-score"
-        )
         self._lanes: dict[str, TenantLane] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._connections: set[asyncio.StreamWriter] = set()
@@ -193,7 +191,7 @@ class ScoringServer:
         }
 
     async def stop(self) -> None:
-        """Drain, close the listener and connections, release pools."""
+        """Drain, close the listener and connections."""
         if not self._draining:
             await self.drain()
         await self.batcher.close()
@@ -206,7 +204,6 @@ class ScoringServer:
                 writer.close()
             except Exception:
                 pass
-        self._executor.shutdown(wait=True, cancel_futures=True)
 
     async def serve_forever(self) -> None:
         """Block until cancelled (used by ``repro serve``)."""
@@ -445,7 +442,14 @@ class ScoringServer:
         breaker = self._breaker(tenant_id)
         breaker.admit()
         request_id = str(body.get("request_id", f"{op}-{self.requests}"))
-        attempt = int(body.get("attempt", 1))
+        try:
+            attempt = int(body.get("attempt", 1))
+        except (TypeError, ValueError, OverflowError):
+            raise ScoreRefusal(
+                f"attempt must be an integer, got {body.get('attempt')!r}",
+                status=422,
+                reason="invalid-attempt",
+            ) from None
         key = f"{tenant_id}|{op}|{request_id}"
         budget = self.policy.budget_for(body.get("budget"))
         deadline = Deadline.after(budget)
@@ -455,10 +459,7 @@ class ScoringServer:
             await self.chaos.maybe_latency(key, attempt)
             self.chaos.maybe_worker_crash(key, attempt)
             if op == "train":
-                work = self._train_job(tenant_id, body, key, attempt, deadline)
-                return await asyncio.get_running_loop().run_in_executor(
-                    self._executor, work
-                )
+                return self._train(tenant_id, body, key, attempt, deadline)
             return await self._score_via_batcher(
                 tenant_id, body, key, attempt, deadline
             )
@@ -473,37 +474,34 @@ class ScoringServer:
         assert isinstance(result, dict)
         return 200, result
 
-    def _train_job(
+    def _train(
         self,
         tenant_id: str,
         body: dict,
         key: str,
         attempt: int,
         deadline: Deadline,
-    ):
-        def work() -> dict:
-            deadline.check("train")
-            state = self.tenants.open(tenant_id, body.get("alphabet_size"))
-            events = self.chaos.maybe_corrupt_events(
-                self.tenants.validate_events(
-                    body.get("events"), state.alphabet_size
-                ),
-                state.alphabet_size,
-                key,
-                attempt,
-            )
-            # Re-validate: a chaos-poisoned payload must be *caught*,
-            # never journaled — this pair of calls is the invariant.
-            events = self.tenants.validate_events(events, state.alphabet_size)
-            seq = self.tenants.ingest(state, events)
-            return {
-                "tenant": tenant_id,
-                "seq": seq,
-                "events": state.event_count,
-                "digest": state.digest(),
-            }
-
-        return work
+    ) -> dict:
+        deadline.check("train")
+        state = self.tenants.open(tenant_id, body.get("alphabet_size"))
+        events = self.chaos.maybe_corrupt_events(
+            self.tenants.validate_events(
+                body.get("events"), state.alphabet_size
+            ),
+            state.alphabet_size,
+            key,
+            attempt,
+        )
+        # Re-validate: a chaos-poisoned payload must be *caught*,
+        # never journaled — this pair of calls is the invariant.
+        events = self.tenants.validate_events(events, state.alphabet_size)
+        seq = self.tenants.ingest(state, events)
+        return {
+            "tenant": tenant_id,
+            "seq": seq,
+            "events": state.event_count,
+            "digest": state.digest(),
+        }
 
     async def _score_via_batcher(
         self,
@@ -517,8 +515,8 @@ class ScoringServer:
 
         Runs inside the tenant's lane worker, so awaiting the batched
         outcome keeps per-tenant ordering intact.  Validation that
-        does not need tenant state happens here, on the event loop;
-        everything stateful resolves in the batch worker.
+        does not need tenant state happens here; everything stateful
+        resolves when the scheduler scores the job's group.
         """
         family = str(body.get("family", "stide"))
         try:

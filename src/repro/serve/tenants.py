@@ -173,41 +173,13 @@ class TenantStateStore:
         """The tenant's alphabet size without any refusal semantics.
 
         The batch scheduler groups queued jobs by (family, window,
-        alphabet) *before* they reach a worker; this peek must not
-        pre-empt the refusals (unknown tenant, quarantine) that the
-        worker raises at scoring time, so it answers ``None`` for
-        anything it cannot see instead of raising.
+        alphabet) *before* they are scored; this peek must not
+        pre-empt the refusals (unknown tenant, quarantine) that group
+        scoring raises, so it answers ``None`` for anything it cannot
+        see instead of raising.
         """
         state = self._tenants.get(tenant_id)
         return None if state is None else state.alphabet_size
-
-    def detector_payload(
-        self, state: TenantState, family: str, window: int
-    ) -> dict | None:
-        """A read-only snapshot of one fitted model for dispatch.
-
-        What a process-rung batch worker ships instead of the live
-        detector: the exported fit-state arrays
-        (:meth:`~repro.detectors.base.AnomalyDetector
-        .export_fit_state`, documented bit-identical on import) plus
-        the cell coordinates.  The caller must not mutate the arrays —
-        they may alias the hot model's own state.  ``None`` when the
-        family keeps no exportable state (the child then falls back
-        to the sequential ladder in the parent).
-        """
-        detector = self.detector_for(state, family, window)
-        try:
-            fit_state = detector.export_fit_state()
-        except Exception:
-            return None
-        if fit_state is None:
-            return None
-        return {
-            "family": family,
-            "window": window,
-            "alphabet_size": state.alphabet_size,
-            "fit_state": fit_state,
-        }
 
     def get(self, tenant_id: str) -> TenantState:
         """The tenant, or a :class:`ScoreRefusal` (404) if unknown."""

@@ -44,6 +44,17 @@ class TestAdmissionPolicy:
         with pytest.raises(ScoreRefusal, match="budget"):
             AdmissionPolicy().budget_for(-1.0)
 
+    @pytest.mark.parametrize(
+        "requested",
+        ["abc", [1], float("nan"), float("inf"), "1e400"],
+        ids=["str", "list", "nan", "inf", "overflow"],
+    )
+    def test_malformed_requested_budget_refused_422(self, requested):
+        with pytest.raises(ScoreRefusal, match="budget") as refused:
+            AdmissionPolicy().budget_for(requested)
+        assert refused.value.status == 422
+        assert refused.value.reason == "invalid-deadline"
+
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError, match="queue_depth"):
             AdmissionPolicy(queue_depth=0)

@@ -1,18 +1,19 @@
-"""Micro-batch scheduler tests: bit-identity, isolation, degradation.
+"""Micro-batch scheduler tests: bit-identity, isolation, loop thread.
 
 The load-bearing assertion lives in the seeded fuzz test: for every
 detector family and both fused kernel shapes (packed keys for the
 count families, fused sliding windows for the rest), a batched score
 is **bit-identical** to the sequential pipeline's answer.  Everything
 else checks the blast-radius properties — a quarantined or breaker-open
-member fails alone, a broken executor rung degrades instead of failing
-jobs, and the scheduler's counter ledger balances.
+member fails alone, tenant work never leaves the event-loop thread,
+and the scheduler's counter ledger balances.
 """
 
 from __future__ import annotations
 
 import asyncio
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from repro.serve import (
     ChaosDirector,
     LoadPlan,
     ScoreJob,
-    ScoreWorkerPool,
     ScoringServer,
     run_load,
 )
@@ -268,54 +268,64 @@ class TestBlastRadius:
         run(with_server())
 
 
-class TestWorkerPoolLadder:
-    def test_thread_rung_degrades_to_serial_on_shutdown_pool(self):
-        async def scenario():
-            pool = ScoreWorkerPool(workers=2, kind="thread")
-            pool._thread_pool().shutdown(wait=True)
-            assert await pool.run(lambda: 7 * 6) == 42
-            assert pool.kind == "serial"
-            assert pool.degradations and "thread->serial" in (
-                pool.degradations[0]
-            )
-            pool.shutdown()
+class TestLoopThread:
+    def test_train_and_score_run_on_the_loop_thread(self, monkeypatch):
+        """Ingest and group scoring never leave the event-loop thread."""
+        from repro.serve.loadgen import request
 
-        run(scenario())
+        seen: list[tuple[str, int]] = []
+        ingest = TenantStateStore.ingest
+        score_group = ScorePipeline.score_group
 
-    def test_failed_process_probe_degrades_to_thread(self, monkeypatch):
+        def recording_ingest(self, *args, **kwargs):
+            seen.append(("ingest", threading.get_ident()))
+            return ingest(self, *args, **kwargs)
+
+        def recording_score_group(self, *args, **kwargs):
+            seen.append(("score_group", threading.get_ident()))
+            return score_group(self, *args, **kwargs)
+
+        monkeypatch.setattr(TenantStateStore, "ingest", recording_ingest)
         monkeypatch.setattr(
-            ScoreWorkerPool, "_start_process_pool", lambda self: False
+            ScorePipeline, "score_group", recording_score_group
         )
-        pool = ScoreWorkerPool(workers=2, kind="process")
-        assert pool.kind == "thread"
-        assert pool.degradations and "process->thread" in (
-            pool.degradations[0]
-        )
-        pool.shutdown()
-
-    def test_process_rung_scores_bit_identically(self):
-        """End-to-end on real child processes: zero violations."""
 
         async def scenario():
+            loop_thread = threading.get_ident()
             with tempfile.TemporaryDirectory() as root:
-                server = ScoringServer(
-                    root,
-                    batching=BatchPolicy(
-                        max_batch=8, max_wait_us=500.0,
-                        workers=2, executor="process",
-                    ),
-                )
+                server = ScoringServer(root)
                 await server.start()
                 try:
-                    report = await run_load(
-                        "127.0.0.1", server.port, LoadPlan.quick(seed=3)
+                    host, port = "127.0.0.1", server.port
+                    status, _ = await request(
+                        host, port, "POST", "/v1/tenants/a/train",
+                        {
+                            "events": _train_stream(1).tolist(),
+                            "alphabet_size": ALPHABET,
+                        },
                     )
+                    assert status == 200
+                    status, body = await request(
+                        host, port, "POST", "/v1/tenants/a/score",
+                        {
+                            "family": "stide",
+                            "window": 4,
+                            "events": _train_stream(2, 80).tolist(),
+                        },
+                    )
+                    assert status == 200, body
+                    names = [t.name for t in threading.enumerate()]
                 finally:
                     await server.stop()
-                assert report.violations == []
-                assert report.scores_ok > 0
+            return loop_thread, names
 
-        run(scenario())
+        loop_thread, names = run(scenario())
+        assert {op for op, _ in seen} == {"ingest", "score_group"}
+        assert all(ident == loop_thread for _, ident in seen), seen
+        assert not [
+            name for name in names
+            if name.startswith(("serve-batch", "serve-score"))
+        ], names
 
 
 class TestSchedulerLedger:
@@ -392,10 +402,6 @@ class TestPolicyAndEquivalence:
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError, match="max_wait_us"):
             BatchPolicy(max_wait_us=-1.0)
-        with pytest.raises(ValueError, match="workers"):
-            BatchPolicy(workers=0)
-        with pytest.raises(ValueError, match="executor"):
-            BatchPolicy(executor="gpu")
 
     def test_batch_max_one_produces_identical_dumps(self, tmp_path):
         """The CI diff in miniature: batched vs unbatched, same bytes."""

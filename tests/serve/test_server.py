@@ -204,6 +204,45 @@ class TestTrainAndScore:
 
         run(_with_server(scenario))
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("attempt", "x", "invalid-attempt"),
+            ("budget", "abc", "invalid-deadline"),
+            ("budget", [1], "invalid-deadline"),
+            ("budget", float("nan"), "invalid-deadline"),
+        ],
+        ids=["attempt-str", "budget-str", "budget-list", "budget-nan"],
+    )
+    def test_malformed_request_field_422(self, field, value, reason):
+        async def scenario(server):
+            host, port = "127.0.0.1", server.port
+            await request(
+                host,
+                port,
+                "POST",
+                "/v1/tenants/t/train",
+                {"events": _events(1), "alphabet_size": ALPHABET},
+            )
+            status, body = await request(
+                host,
+                port,
+                "POST",
+                "/v1/tenants/t/score",
+                {
+                    "family": "stide",
+                    "window": 4,
+                    "events": _events(2),
+                    field: value,
+                },
+            )
+            assert status == 422, body
+            assert body["reason"] == reason
+            assert not body["retryable"]
+            assert server.refusals == {422: 1}
+
+        run(_with_server(scenario))
+
     def test_train_ack_carries_stream_digest(self):
         async def scenario(server):
             host, port = "127.0.0.1", server.port
