@@ -79,7 +79,7 @@ def _chaos_plan(quick: bool) -> LoadPlan:
 
 
 async def _in_process_run(tmp_path, plan, chaos=None):
-    server = ScoringServer(tmp_path, chaos=chaos or ChaosDirector(), retries=1)
+    server = ScoringServer(tmp_path, chaos=chaos or ChaosDirector())
     await server.start()
     try:
         report = await run_load("127.0.0.1", server.port, plan)

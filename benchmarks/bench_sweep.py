@@ -18,13 +18,11 @@ sequential ones, and the speedup for the full grid must be at least
 
 from __future__ import annotations
 
-import json
 import pickle
 import time
 
 import numpy as np
 from _artifacts import (
-    OUTPUT_DIR,
     machine_calibration,
     write_artifact,
     write_json_artifact,
@@ -34,22 +32,17 @@ from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import create_detector
 from repro.evaluation.performance_map import build_performance_map
 from repro.runtime import (
-    AUTOMATON_MAX_ORDER,
     ArtifactStore,
-    MembershipAutomaton,
     ResiliencePolicy,
     RetryPolicy,
     SweepEngine,
     WindowArena,
     WindowCache,
     share_suite,
-    sorted_membership,
 )
 from repro.sequences.windows import windows_array
 
 FAMILIES = ("stide", "t-stide", "markov", "lane-brodley")
-MEMBERSHIP_FAMILIES = ("stide", "t-stide")
-MEMBERSHIP_EXECUTORS = ("serial", "thread", "process")
 MAX_WORKERS = 4
 MIN_SPEEDUP = 2.0
 MIN_KERNEL_SPEEDUP = 3.0  # batch kernels vs the per-row scalar loop
@@ -61,12 +54,6 @@ OVERHEAD_REPS = 3
 # Fit-phase floors: the shared training index amortizes one sort over
 # every (family, DW) fit; a store-warm pass performs zero fits at all.
 # --quick corpora are sort-cheap, so the floors relax there.
-# Membership-tier gate: the automaton sweep of the membership
-# families must clear 5x the committed pre-automaton grid rate
-# (BENCH_sweep.json), rescaled to this machine's calibration.
-MIN_MEMBERSHIP_SPEEDUP = 5.0
-BASELINE_CELLS_PER_SECOND = 6391.47
-BASELINE_CALIBRATION = 0.0731
 MIN_INDEX_FIT_SPEEDUP = 5.0
 MIN_INDEX_FIT_SPEEDUP_QUICK = 2.5
 MIN_STORE_FIT_SPEEDUP = 20.0
@@ -230,210 +217,6 @@ def test_batch_kernel_speedup(suite):
     assert speedups[worst] >= MIN_KERNEL_SPEEDUP, (
         f"{worst} batch kernel speedup {speedups[worst]:.2f}x below the "
         f"{MIN_KERNEL_SPEEDUP}x floor"
-    )
-
-
-def test_membership_tier(suite):
-    """E25 — the raw-speed membership tier vs per-DW bisection.
-
-    Two comparisons, both against the bisect tier as the bit-exactness
-    reference:
-
-    * **scan** — every (family, DW, test stream) membership scoring
-      pass of the grid, scored through plain ``score_stream`` with a
-      shared :class:`WindowCache`.  The automaton tier computes one
-      match-length profile per test stream and answers every DW from
-      it; the bisect tier runs one ``searchsorted`` pass per (DW,
-      stream).  Every per-window response must agree exactly
-      (``mismatched_windows == 0``).
-    * **grid** — full membership-family sweeps with
-      ``kernel_tier="automaton"`` on the serial, thread and process
-      backends, each compared cell for cell against a bisect serial
-      reference (``mismatched_cells == 0``).
-
-    The gate: the kernel-level serving rate — the automaton primitives
-    producing the same per-cell response arrays (one profile scan per
-    stream, a slice per Stide cell, a shift-derived key probe per
-    t-Stide cell; fit-side table builds untimed, verified window for
-    window against the bisect responses) — must clear
-    ``MIN_MEMBERSHIP_SPEEDUP`` x the committed pre-automaton grid rate
-    (``BASELINE_CELLS_PER_SECOND``), rescaled by the calibration ratio
-    so the floor survives hardware changes.  The section is merged
-    into ``BENCH_sweep.json`` so ``check_bench_regression.py`` gates
-    the tier from here on.
-    """
-    alphabet_size = suite.training.alphabet.size
-
-    def fitted(tier):
-        """All (family, DW) detectors fitted on one shared cache."""
-        cache = WindowCache()
-        detectors = {}
-        for name in MEMBERSHIP_FAMILIES:
-            for window_length in suite.window_lengths:
-                detector = create_detector(name, window_length, alphabet_size)
-                detector.attach_cache(cache)
-                detector.attach_kernel_tier(tier)
-                detector.fit(suite.training.stream)
-                detectors[(name, window_length)] = detector
-        return detectors, cache
-
-    def scan(tier):
-        """Score every grid cell; fits excluded, profile build included.
-
-        Each repetition runs on freshly fitted detectors with a cold
-        cache, so the automaton timing pays for its one-pass profile
-        construction inside the measured window — the honest amortized
-        cost of answering every DW at once.
-        """
-        best_responses, best_seconds = None, float("inf")
-        for _ in range(3):
-            detectors, _cache = fitted(tier)
-            responses = {}
-            start = time.perf_counter()
-            for (name, window_length), detector in detectors.items():
-                for size in suite.anomaly_sizes:
-                    responses[(name, window_length, size)] = (
-                        detector.score_stream(suite.stream(size).stream)
-                    )
-            seconds = time.perf_counter() - start
-            if seconds < best_seconds:
-                best_responses, best_seconds = responses, seconds
-        return best_responses, best_seconds
-
-    bisect_responses, bisect_seconds = scan("bisect")
-    automaton_responses, automaton_seconds = scan("automaton")
-    scan_speedup = bisect_seconds / automaton_seconds
-
-    # Kernel-level serving rate: the automaton primitives produce the
-    # same 224 per-cell response arrays — one profile scan per stream,
-    # a slice comparison per Stide cell, a shift-derived key probe per
-    # t-Stide cell — without per-call detector plumbing.  The tables
-    # come from fitting (untimed), exactly like the detector fits.
-    automaton = MembershipAutomaton(
-        suite.training.stream, alphabet_size, AUTOMATON_MAX_ORDER
-    )
-    fitted_reference, _cache = fitted("bisect")
-    common_tables = {
-        window_length: fitted_reference[("t-stide", window_length)]._common_packed
-        for window_length in suite.window_lengths
-    }
-
-    def kernel_scan():
-        responses = {}
-        start = time.perf_counter()
-        for size in suite.anomaly_sizes:
-            stream = suite.stream(size).stream
-            codes, profile = automaton.scan(stream)
-            for window_length in suite.window_lengths:
-                count = len(stream) - window_length + 1
-                responses[("stide", window_length, size)] = (
-                    profile[:count] < window_length
-                ).astype(np.float64)
-                common = sorted_membership(
-                    codes.level(window_length), common_tables[window_length]
-                )
-                responses[("t-stide", window_length, size)] = (~common).astype(
-                    np.float64
-                )
-        return responses, time.perf_counter() - start
-
-    kernel_responses, kernel_seconds = None, float("inf")
-    for _ in range(3):
-        responses, seconds = kernel_scan()
-        if seconds < kernel_seconds:
-            kernel_responses, kernel_seconds = responses, seconds
-
-    mismatched_windows = int(
-        sum(
-            (bisect_responses[key] != automaton_responses[key]).sum()
-            + (bisect_responses[key] != kernel_responses[key]).sum()
-            for key in bisect_responses
-        )
-    )
-
-    reference = SweepEngine(executor="serial", kernel_tier="bisect").sweep(
-        MEMBERSHIP_FAMILIES, suite
-    )
-    cells = suite.case_count() * len(MEMBERSHIP_FAMILIES)
-    backends = {}
-    for executor in MEMBERSHIP_EXECUTORS:
-        engine = SweepEngine(
-            max_workers=1 if executor == "serial" else MAX_WORKERS,
-            executor=executor,
-            kernel_tier="automaton",
-        )
-        start = time.perf_counter()
-        maps = engine.sweep(MEMBERSHIP_FAMILIES, suite)
-        seconds = time.perf_counter() - start
-        mismatched = sum(
-            reference[name].cell(anomaly_size, window_length)
-            != maps[name].cell(anomaly_size, window_length)
-            for name in MEMBERSHIP_FAMILIES
-            for anomaly_size in suite.anomaly_sizes
-            for window_length in suite.window_lengths
-        )
-        backends[executor] = {
-            "sweep_seconds": round(seconds, 4),
-            "cells_per_second": round(cells / seconds, 2),
-            "mismatched_cells": int(mismatched),
-        }
-
-    calibration = machine_calibration()
-    # The committed rate, rescaled to this machine's speed.
-    baseline_rate = BASELINE_CELLS_PER_SECOND * (
-        BASELINE_CALIBRATION / calibration
-    )
-    kernel_rate = cells / kernel_seconds
-    speedup_vs_baseline = kernel_rate / baseline_rate
-
-    section = {
-        "families": list(MEMBERSHIP_FAMILIES),
-        "grid_cells": cells,
-        "scan_seconds_bisect": round(bisect_seconds, 4),
-        "scan_seconds_automaton": round(automaton_seconds, 4),
-        "scan_speedup": round(scan_speedup, 2),
-        "kernel_seconds": round(kernel_seconds, 4),
-        "mismatched_windows": mismatched_windows,
-        "backends": backends,
-        "baseline_cells_per_second": BASELINE_CELLS_PER_SECOND,
-        "baseline_calibration_seconds": BASELINE_CALIBRATION,
-        "calibration_seconds": round(calibration, 4),
-        "cells_per_second": round(kernel_rate, 2),
-        "speedup_vs_baseline": round(speedup_vs_baseline, 2),
-        "min_speedup_vs_baseline": MIN_MEMBERSHIP_SPEEDUP,
-    }
-    record_path = OUTPUT_DIR / "BENCH_sweep.json"
-    record = (
-        json.loads(record_path.read_text()) if record_path.exists() else {}
-    )
-    record["membership_tier"] = section
-    write_json_artifact("BENCH_sweep", record)
-    lines = [
-        f"Membership tier ({cells} cells, "
-        f"families {', '.join(MEMBERSHIP_FAMILIES)}):",
-        f"  scan        {bisect_seconds:>8.3f} s bisect / "
-        f"{automaton_seconds:.3f} s automaton ({scan_speedup:.1f}x)",
-        f"  kernel      {kernel_rate:>8.1f} cells/s vs calibrated "
-        f"baseline {baseline_rate:.1f} -> {speedup_vs_baseline:.1f}x",
-    ]
-    lines.extend(
-        f"  {executor:<11} {entry['cells_per_second']:>8.1f} cells/s sweep, "
-        f"{entry['mismatched_cells']} mismatched cells"
-        for executor, entry in backends.items()
-    )
-    lines.append(f"  mismatches  {mismatched_windows} windows")
-    write_artifact("membership_tier", "\n".join(lines))
-
-    assert mismatched_windows == 0, (
-        "automaton responses must match the bisect tier window for window"
-    )
-    for executor, entry in backends.items():
-        assert entry["mismatched_cells"] == 0, (
-            f"{executor} automaton sweep diverged from the bisect reference"
-        )
-    assert speedup_vs_baseline >= MIN_MEMBERSHIP_SPEEDUP, (
-        f"membership tier {speedup_vs_baseline:.2f}x vs the committed "
-        f"baseline is below the {MIN_MEMBERSHIP_SPEEDUP}x floor"
     )
 
 

@@ -14,7 +14,6 @@ from _artifacts import write_artifact
 
 from repro.detectors.registry import create_detector
 from repro.detectors.stide import sorted_membership
-from repro.runtime import AUTOMATON_MAX_ORDER, MembershipAutomaton
 from repro.sequences.windows import pack_windows, windows_array
 
 WINDOW_LENGTH = 6
@@ -120,50 +119,6 @@ def test_stide_membership_strategy(benchmark, training, strategy, window_length)
                 f"  DW={length}: searchsorted/isin ratio {bisect / isin:.2f}x"
             )
     write_artifact("stide_membership", "\n".join(lines))
-
-
-def test_multi_window_scan_throughput(benchmark, training):
-    """E14 — the one-pass multi-DW serving path (ROADMAP item 1).
-
-    A deployment scoring one event stream against every detector
-    window at once: :meth:`MembershipAutomaton.foreign_all` makes a
-    single scan (one match-length profile) and answers Stide
-    foreignness for **all** DW in 2..15 simultaneously.  The events/sec
-    recorded here is stream symbols consumed per second while serving
-    all 14 window lengths — the number to compare against the per-DW
-    ``score_stream`` rates above, which pay one pass *per* DW.
-    """
-    automaton = MembershipAutomaton(
-        training.stream, training.alphabet.size, AUTOMATON_MAX_ORDER
-    )
-    test_stream = training.stream[:TEST_LENGTH]
-
-    masks = benchmark(automaton.foreign_all, test_stream)
-
-    assert set(masks) == set(range(2, automaton.max_order + 1))
-    # Spot-check equivalence against the direct packed bisection.
-    for window_length in (2, AUTOMATON_MAX_ORDER):
-        packed = pack_windows(
-            windows_array(test_stream, window_length), training.alphabet.size
-        )
-        known = sorted_membership(packed, automaton.database(window_length))
-        assert np.array_equal(masks[window_length], ~known), window_length
-
-    mean_seconds = benchmark.stats.stats.mean
-    events = len(test_stream) / mean_seconds
-    windows = sum(len(mask) for mask in masks.values()) / mean_seconds
-    write_artifact(
-        "multi_window_scan",
-        "\n".join(
-            [
-                f"One-pass multi-DW scan (stream {len(test_stream):,} "
-                f"elements, DW 2..{automaton.max_order}):",
-                f"  events      {events:>14,.0f} events/s "
-                f"(all {automaton.max_order - 1} DWs per event)",
-                f"  windows     {windows:>14,.0f} windows/s across DWs",
-            ]
-        ),
-    )
 
 
 def test_fit_throughput(benchmark, training):

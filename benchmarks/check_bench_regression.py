@@ -84,67 +84,6 @@ def check(baseline_path: Path, current_path: Path) -> int:
             "slowdown is intentional, refresh the committed BENCH_sweep.json"
         )
         return 1
-    return check_membership_tier(baseline, current)
-
-
-def check_membership_tier(baseline: dict, current: dict) -> int:
-    """Gate the membership tier: calibrated cells/sec and exactness.
-
-    The ``membership_tier`` section records the one-pass kernel's
-    serving rate (cells/sec) and its window/cell mismatch counts
-    against the bisect tier.  Any mismatch fails outright; the rate is
-    held to the committed baseline's, rescaled by the calibration
-    ratio, under the same ``TOLERANCE``.  A baseline without the
-    section (pre-tier record) arms on the next refresh.
-    """
-    section = current.get("membership_tier")
-    reference = baseline.get("membership_tier")
-    if section is None:
-        if reference is None:
-            return 0
-        print("error: current record lacks the membership_tier section")
-        return 1
-
-    mismatches = int(section.get("mismatched_windows", 0)) + sum(
-        int(entry.get("mismatched_cells", 0))
-        for entry in section.get("backends", {}).values()
-    )
-    if mismatches:
-        print(
-            f"error: membership tier reports {mismatches} mismatches "
-            "against the bisect reference"
-        )
-        return 1
-    if reference is None:
-        print(
-            "warning: baseline predates the membership_tier section; "
-            "rate gate arms on the next baseline refresh"
-        )
-        return 0
-
-    required = ("cells_per_second", "calibration_seconds")
-    for record, label in ((reference, "baseline"), (section, "current")):
-        if any(not record.get(key) for key in required):
-            print(
-                f"warning: {label} membership_tier lacks rate fields; "
-                "skipping the rate gate"
-            )
-            return 0
-    scale = reference["calibration_seconds"] / section["calibration_seconds"]
-    floor = reference["cells_per_second"] * scale * (1.0 - TOLERANCE)
-    rate = section["cells_per_second"]
-    verdict = "OK" if rate >= floor else "REGRESSION"
-    print(
-        f"membership tier: {rate:.1f} cells/s vs calibrated baseline "
-        f"{reference['cells_per_second']:.1f} x {scale:.2f} "
-        f"(floor >= {floor:.1f}, tolerance {TOLERANCE:.0%}): {verdict}"
-    )
-    if rate < floor:
-        print(
-            "error: membership tier throughput regressed beyond tolerance; "
-            "if intentional, refresh the committed BENCH_sweep.json"
-        )
-        return 1
     return 0
 
 
@@ -481,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     # a glance which check tripped; the diff detail is printed above by
     # the gate itself.
     gates = (
-        ("sweep+membership", sweep_rc),
+        ("sweep", sweep_rc),
         ("serve", serve_rc),
         ("fleet", fleet_rc),
     )

@@ -91,16 +91,6 @@ def _jobs_argument(parser: argparse.ArgumentParser) -> None:
         help="disable the shared-memory window transport; process "
         "workers receive pickled suites instead",
     )
-    parser.add_argument(
-        "--kernel-tier",
-        choices=("auto", "bisect", "automaton"),
-        default=None,
-        help="membership kernel tier for stide/t-stide cells: 'auto' "
-        "(default) runs the one-pass multi-DW automaton where "
-        "applicable, 'bisect' pins the per-DW searchsorted path, "
-        "'automaton' forces the profile path; maps are bit-identical "
-        "across tiers",
-    )
 
 
 def _store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -206,7 +196,7 @@ _RESUME_FROM_CHECKPOINT = "@checkpoint"
 
 
 def _retry_arguments(parser: argparse.ArgumentParser) -> None:
-    """The retry/timeout surface shared by the sweep commands and ``serve``.
+    """The retry/timeout surface shared by the sweep commands.
 
     Parsed once by :meth:`ResiliencePolicy.from_args`, so the flags
     carry identical semantics on every subcommand exposing them.
@@ -216,9 +206,13 @@ def _retry_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="re-attempts per task after a transient failure (sweep "
-        "blocks, or scoring attempts on the serving path)",
+        help="re-attempts per sweep block after a transient failure",
     )
+    _task_timeout_argument(parser)
+
+
+def _task_timeout_argument(parser: argparse.ArgumentParser) -> None:
+    """``--task-timeout``: the sweep block budget, or serve's deadline."""
     parser.add_argument(
         "--task-timeout",
         type=float,
@@ -286,14 +280,12 @@ def _engine(args: argparse.Namespace) -> "object | None":
         or getattr(args, "resume", None) is not None
     )
     telemetry = _telemetry(args)
-    kernel_tier = getattr(args, "kernel_tier", None)
     if (
         jobs <= 1
         and executor is None
         and not wants_resilience
         and store_dir is None
         and telemetry is None
-        and kernel_tier is None
     ):
         return None
     from repro.runtime import ResiliencePolicy, SweepEngine
@@ -316,7 +308,6 @@ def _engine(args: argparse.Namespace) -> "object | None":
         store=store,
         warm_start=False if getattr(args, "no_warm_start", False) else None,
         telemetry=telemetry,
-        kernel_tier=kernel_tier if kernel_tier is not None else "auto",
     )
 
 
@@ -627,8 +618,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeFaultSchedule,
     )
 
-    resilience = ResiliencePolicy.from_args(args, default_retries=1)
-    retries = resilience.retry.retries if resilience is not None else 1
+    resilience = ResiliencePolicy.from_args(args)
     default_budget = 5.0
     if resilience is not None and resilience.task_timeout is not None:
         default_budget = resilience.task_timeout
@@ -658,7 +648,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         policy=policy,
         chaos=ChaosDirector(schedule),
-        retries=retries,
         snapshot_every=args.snapshot_every,
         fsync=args.fsync,
         models=models,
@@ -952,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="bind port (0 picks a free one; see --ready-file)",
     )
-    _retry_arguments(serve)
+    _task_timeout_argument(serve)
     serve.add_argument(
         "--queue-depth",
         type=_positive_int,

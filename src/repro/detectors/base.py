@@ -28,12 +28,6 @@ from repro.runtime.fitindex import (
     WarmStartPolicy,
     WarmStartRegistry,
 )
-from repro.runtime.kernels import (
-    KERNEL_TIERS,
-    TIER_AUTO,
-    TIER_AUTOMATON,
-    resolve_kernel_tier,
-)
 from repro.runtime.store import fit_key, streams_digest
 from repro.sequences.windows import pack_windows, window_count, windows_array
 
@@ -89,8 +83,6 @@ class AnomalyDetector(abc.ABC):
         self._response_tolerance = float(response_tolerance)
         self._state = FittedState.UNFITTED
         self._window_cache: object | None = None
-        self._kernel_tier: str = TIER_AUTO
-        self._training_stream: np.ndarray | None = None
         self._store: object | None = None
         self._warm_policy: WarmStartPolicy | None = None
         self._warm_registry: WarmStartRegistry | None = None
@@ -140,37 +132,6 @@ class AnomalyDetector(abc.ABC):
         """
         self._window_cache = cache
         return self
-
-    def attach_kernel_tier(self, tier: str | None) -> "AnomalyDetector":
-        """Select the membership kernel tier (``None`` means ``auto``).
-
-        ``auto`` (the default) lets the membership families (Stide,
-        t-Stide) score through the one-pass multi-order automaton of
-        :mod:`repro.runtime.automaton` whenever it is applicable *and*
-        a :class:`~repro.runtime.WindowCache` is attached to amortize
-        the profile across cells; ``automaton`` forces the profile
-        path even without a cache (still falling back to bisection for
-        unpackable or over-order cells); ``bisect`` pins the classic
-        per-DW ``searchsorted`` path.  Responses are bit-identical
-        across tiers — the dispatcher only changes how membership is
-        resolved, never its value.  Families without a membership
-        kernel ignore the setting.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        value = TIER_AUTO if tier is None else str(tier)
-        if value not in KERNEL_TIERS:
-            raise DetectorConfigurationError(
-                f"unknown kernel tier {value!r}; expected one of {KERNEL_TIERS}"
-            )
-        self._kernel_tier = value
-        return self
-
-    @property
-    def kernel_tier(self) -> str:
-        """The requested membership kernel tier."""
-        return self._kernel_tier
 
     def attach_store(self, store: object | None) -> "AnomalyDetector":
         """Back this detector with a persistent artifact store.
@@ -321,9 +282,9 @@ class AnomalyDetector(abc.ABC):
         """Cached sorted packed windows of ``stream``, or ``None``.
 
         The membership table Stide/t-Stide fits reduce to at packable
-        cells, served by :meth:`WindowCache.packed_db` so the fit and
-        the automaton tier's per-order databases are one shared array.
-        ``None`` without an attached cache.
+        cells, served by :meth:`WindowCache.packed_db` so every fit on
+        the same (stream, DW) shares one array.  ``None`` without an
+        attached cache.
         """
         cache = self._window_cache
         if cache is None:
@@ -331,57 +292,6 @@ class AnomalyDetector(abc.ABC):
         return cache.packed_db(  # type: ignore[attr-defined]
             stream, self._window_length, self._alphabet_size
         )
-
-    def _membership_context(
-        self, test_stream: np.ndarray
-    ) -> tuple[np.ndarray, object] | None:
-        """The automaton tier's (match-length profile, stream codes).
-
-        ``None`` routes the caller to the bisect tier.  The automaton
-        runs only when the resolved tier admits it (packable cell, DW
-        within the profile order — see
-        :func:`repro.runtime.kernels.resolve_kernel_tier`), the fit
-        retained a single training stream, and either a cache is
-        attached (``auto``) or the tier is forced (``automaton``,
-        which then computes an uncached profile).  The returned codes
-        object serves the packed keys t-Stide's common-table bisect
-        needs at the detector's own DW.
-        """
-        from repro.runtime.automaton import (
-            AUTOMATON_MAX_ORDER,
-            StreamCodes,
-            match_profile,
-            training_databases,
-        )
-
-        tier = resolve_kernel_tier(
-            self._kernel_tier, self._alphabet_size, self._window_length
-        )
-        if tier != TIER_AUTOMATON:
-            return None
-        train = self._training_stream
-        if train is None:
-            return None
-        cache = self._window_cache
-        if cache is not None:
-            codes = cache.stream_codes(  # type: ignore[attr-defined]
-                test_stream, self._alphabet_size, AUTOMATON_MAX_ORDER
-            )
-            profile = cache.membership_profile(  # type: ignore[attr-defined]
-                test_stream, train, self._alphabet_size, AUTOMATON_MAX_ORDER
-            )
-            return profile, codes
-        if self._kernel_tier != TIER_AUTOMATON:
-            # auto without a cache: nothing amortizes the profile, so
-            # the per-DW bisection stays the cheaper plan.
-            return None
-        codes = StreamCodes(
-            test_stream, self._alphabet_size, AUTOMATON_MAX_ORDER
-        )
-        databases = training_databases(
-            train, self._alphabet_size, AUTOMATON_MAX_ORDER
-        )
-        return match_profile(codes, databases), codes
 
     # -- streaming delta fits -----------------------------------------------------
 
@@ -451,13 +361,10 @@ class AnomalyDetector(abc.ABC):
 
         The public inverse of :meth:`export_fit_state` for callers
         that persist models outside the fit-key protocol (the sharded
-        fleet store).  On success the detector is fitted; the automaton
-        tier stays off (no training stream was retained), which is
-        bit-identical to the bisect tier by construction.
+        fleet store).  On success the detector is fitted.
         """
         if not self._load_fit_state(dict(state)):
             return False
-        self._training_stream = None
         self._training_digest = None
         self._state = FittedState.FITTED
         return True
@@ -509,15 +416,10 @@ class AnomalyDetector(abc.ABC):
     def _note_delta_update(self) -> None:
         """Bookkeeping after a successful in-place delta merge.
 
-        Drops the retained training stream: the automaton tier's
-        match-length profile is defined against the fit-time stream,
-        which the merge just outgrew, so scoring routes to the bisect
-        tier (bit-identical responses).  The stream digest is likewise
-        stale — delta-updated state is persisted by the caller's own
-        keying (e.g. the sharded fleet store), not the fit-key
-        protocol.
+        The training-stream digest is stale after the merge —
+        delta-updated state is persisted by the caller's own keying
+        (e.g. the sharded fleet store), not the fit-key protocol.
         """
-        self._training_stream = None
         self._training_digest = None
         telemetry.count("detector.delta_update")
 
@@ -565,10 +467,6 @@ class AnomalyDetector(abc.ABC):
         families' ``_fit`` (they know their own loss), which reports
         back through ``self._fit_hint``.
         """
-        # Retained for the automaton kernel tier, store hit or not:
-        # the match-length profile is defined against one training
-        # stream (multi-stream fits keep the bisect tier).
-        self._training_stream = usable[0] if len(usable) == 1 else None
         store = self._store
         key: str | None = None
         if store is not None or self._warm_registry is not None:

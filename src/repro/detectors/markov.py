@@ -416,25 +416,3 @@ class MarkovDetector(AnomalyDetector):
                 pack_windows(windows, self.alphabet_size)
             )
         return self._tuple_responses(windows)
-
-    def score_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Responses for pre-packed window keys (fused-batch entry).
-
-        The serving batcher packs several tenants' streams in one pass
-        and hands each detector its key slice; the joint/context count
-        lookups and the floor/unseen rule are the same
-        ``_batch_response`` pass ``_score`` runs on its own packing,
-        so responses are bit-identical.
-
-        Raises:
-            NotFittedError: if the detector is unfitted.
-            DetectorConfigurationError: if this fit has no packed
-                count tables (it exceeded the 63-bit packing budget).
-        """
-        self._require_fitted()
-        if self._joint_codes is None:
-            raise DetectorConfigurationError(
-                "score_packed requires the packed count tables (this fit "
-                "exceeded the 63-bit packing budget)"
-            )
-        return self._batch_response(packed)

@@ -55,9 +55,9 @@ class StideDetector(AnomalyDetector):
             for stream in training_streams:
                 cached = self._packed_database(stream)
                 if cached is not None:
-                    # One shared table per (stream, DW): the same array
-                    # the automaton ladder bisects (lexicographic rows
-                    # pack sorted — identical to np.unique(packed)).
+                    # One shared table per (stream, DW) across fits
+                    # (lexicographic rows pack sorted — identical to
+                    # np.unique(packed)).
                     parts.append(cached)
                 else:
                     parts.append(np.unique(self._packed_view(stream)))
@@ -149,21 +149,11 @@ class StideDetector(AnomalyDetector):
         telemetry.count("kernel.membership.windows", count)
         telemetry.count("kernel.membership.cells")
         if self._packed_db is not None:
-            context = self._membership_context(test_stream)
-            if context is not None:
-                # Automaton tier: known exactly when the match length
-                # at the window's start reaches DW (prefix closure).
-                profile, _codes = context
-                telemetry.count("kernel.automaton.windows", count)
-                telemetry.count("kernel.automaton.cells")
-                return (profile[:count] < self.window_length).astype(np.float64)
             packed = self._packed_view(test_stream)
             known = sorted_membership(packed, self._packed_db)
         else:
             view = self._windows_view(test_stream)
             known = self._known(view, None)
-        telemetry.count("kernel.bisect.windows", count)
-        telemetry.count("kernel.bisect.cells")
         return (~known).astype(np.float64)
 
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
@@ -173,32 +163,6 @@ class StideDetector(AnomalyDetector):
             else None
         )
         return (~self._known(windows, packed)).astype(np.float64)
-
-    def score_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Responses for pre-packed window keys (fused-batch entry).
-
-        The serving batcher packs many tenants' test streams in one
-        pass (:class:`~repro.runtime.automaton.BatchStreamCodes`) and
-        hands each detector its own key slice; this skips re-sliding
-        and re-packing while running the identical bisection the
-        bisect tier of ``_score`` runs — bit-identical responses.
-
-        Raises:
-            NotFittedError: if the detector is unfitted.
-            DetectorConfigurationError: if this fit has no packed
-                database (it exceeded the 63-bit packing budget).
-        """
-        self._require_fitted()
-        if self._packed_db is None:
-            raise DetectorConfigurationError(
-                "score_packed requires the packed database (this fit "
-                "exceeded the 63-bit packing budget)"
-            )
-        telemetry.count("kernel.membership.windows", len(packed))
-        telemetry.count("kernel.membership.cells")
-        telemetry.count("kernel.bisect.windows", len(packed))
-        telemetry.count("kernel.bisect.cells")
-        return (~sorted_membership(packed, self._packed_db)).astype(np.float64)
 
     def contains(self, window: tuple[int, ...]) -> bool:
         """Whether ``window`` is in the normal database."""

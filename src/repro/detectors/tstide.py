@@ -75,7 +75,7 @@ class TStideDetector(AnomalyDetector):
                 if shared is not None:
                     _rows, stream_counts = shared
                     # Count-aligned with the decomposition rows, and
-                    # the same array the automaton ladder bisects.
+                    # the same array Stide's fit of this stream shares.
                     stream_values = self._packed_database(stream)
                 else:
                     stream_values, stream_counts = np.unique(
@@ -240,30 +240,10 @@ class TStideDetector(AnomalyDetector):
         telemetry.count("kernel.membership.windows", count)
         telemetry.count("kernel.membership.cells")
         if self._common_packed is not None:
-            context = self._membership_context(test_stream)
-            if context is not None:
-                # Automaton tier: common windows are a subset of known
-                # windows, so every position whose match length falls
-                # short of DW is foreign (response 1) outright and only
-                # the known survivors bisect the common table.
-                profile, codes = context
-                telemetry.count("kernel.automaton.windows", count)
-                telemetry.count("kernel.automaton.cells")
-                responses = np.ones(count, dtype=np.float64)
-                candidates = np.flatnonzero(
-                    profile[:count] >= self.window_length
-                )
-                if len(candidates):
-                    probes = codes.keys_at(self.window_length, candidates)
-                    common = sorted_membership(probes, self._common_packed)
-                    responses[candidates[common]] = 0.0
-                return responses
             packed = self._packed_view(test_stream)
             common = sorted_membership(packed, self._common_packed)
         else:
             common = self._common(self._windows_view(test_stream), None)
-        telemetry.count("kernel.bisect.windows", count)
-        telemetry.count("kernel.bisect.cells")
         return (~common).astype(np.float64)
 
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
@@ -273,28 +253,3 @@ class TStideDetector(AnomalyDetector):
             else None
         )
         return (~self._common(windows, packed)).astype(np.float64)
-
-    def score_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Responses for pre-packed window keys (fused-batch entry).
-
-        One bisection of the common table over keys the serving
-        batcher packed in a fused pass — the same kernel as the
-        bisect arm of ``_score``, so responses are bit-identical.
-
-        Raises:
-            NotFittedError: if the detector is unfitted.
-            DetectorConfigurationError: if this fit has no packed
-                common table (it exceeded the 63-bit packing budget).
-        """
-        self._require_fitted()
-        if self._common_packed is None:
-            raise DetectorConfigurationError(
-                "score_packed requires the packed common table (this fit "
-                "exceeded the 63-bit packing budget)"
-            )
-        telemetry.count("kernel.membership.windows", len(packed))
-        telemetry.count("kernel.membership.cells")
-        telemetry.count("kernel.bisect.windows", len(packed))
-        telemetry.count("kernel.bisect.cells")
-        common = sorted_membership(packed, self._common_packed)
-        return (~common).astype(np.float64)

@@ -157,8 +157,8 @@ class ScoreRefusal(ServeError):
     """The service declined to score a request — never a wrong score.
 
     The serving pipeline's only alternative to a correct score: over
-    budget, invalid input, breaker open, queue saturated, ladder
-    exhausted, or tenant quarantined.  Carries the HTTP status and a
+    budget, invalid input, breaker open, queue saturated, a failed
+    kernel call, or tenant quarantined.  Carries the HTTP status and a
     machine-readable advisory so clients can distinguish retryable
     refusals (429/503/504, honor ``retry_after``) from permanent ones
     (4xx).

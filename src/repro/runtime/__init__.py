@@ -11,10 +11,6 @@ production runtime for that sweep:
 * :mod:`~repro.runtime.kernels` — the vectorized batch-scoring kernels
   every detector family's ``score_windows`` reduces to: one numpy pass
   per (stream, DW) batch instead of a per-window Python loop;
-* :mod:`~repro.runtime.automaton` — the raw-speed membership tier:
-  bit-packed uint64 window keys plus a one-pass multi-order
-  match-length profile that answers Stide/t-Stide membership for every
-  DW at once (the ``--kernel-tier`` dispatcher);
 * :class:`SweepEngine` — evaluates one or many families over the grid
   concurrently (thread-, process-, or serial-backed) with
   unique-window memoized scoring for the expensive detectors, while
@@ -85,13 +81,6 @@ _EXPORTS: dict[str, str] = {
     "share_suite": "repro.runtime.arena",
     "score_batch": "repro.runtime.kernels",
     "sorted_membership": "repro.runtime.kernels",
-    "KERNEL_TIERS": "repro.runtime.kernels",
-    "resolve_kernel_tier": "repro.runtime.kernels",
-    "AUTOMATON_MAX_ORDER": "repro.runtime.automaton",
-    "MembershipAutomaton": "repro.runtime.automaton",
-    "StreamCodes": "repro.runtime.automaton",
-    "match_profile": "repro.runtime.automaton",
-    "training_databases": "repro.runtime.automaton",
     "FAULT_KINDS": "repro.runtime.faults",
     "FaultSchedule": "repro.runtime.faults",
     "Metrics": "repro.runtime.telemetry",

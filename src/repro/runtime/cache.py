@@ -14,10 +14,7 @@ arrays to every consumer:
 * ``unique``    — the distinct windows plus the inverse scatter index
   (the basis of unique-window memoized scoring);
 * ``packed_db`` — a training stream's sorted distinct packed keys at
-  one order (the membership database of the kernel tiers);
-* ``stream_codes`` / ``membership_profile`` — the automaton tier's
-  per-stream packed-code ladder and per-position match-length profile
-  (see :mod:`repro.runtime.automaton`).
+  one order (the membership database Stide and t-Stide bisect).
 
 Streams are keyed by identity: the cache retains a reference to every
 stream it has seen, so an ``id`` can never be recycled while the cache
@@ -55,10 +52,7 @@ from repro.runtime.fitindex import TrainingIndex
 from repro.sequences.windows import pack_windows, packable, windows_array
 
 #: Cache key: (stream identity, window length, artifact tag, extra).
-#: ``extra`` is usually the alphabet size; artifacts that depend on a
-#: *second* stream (the membership profile) use the marker tuple
-#: ``("train", train_stream_id, alphabet_size)`` so eviction of either
-#: stream can find them.
+#: ``extra`` is the alphabet size where the artifact depends on it.
 _Key = tuple[int, int, str, object]
 
 
@@ -187,22 +181,12 @@ class WindowCache:
         with self._lock:
             stream_id = id(stream)
 
-            def references(key: _Key) -> bool:
-                if key[0] == stream_id:
-                    return window_length is None or key[1] == window_length
-                extra = key[3]
-                # Two-stream artifacts (membership profiles) also die
-                # when their *training* stream is evicted outright, so
-                # a recycled id can never satisfy a stale key.
-                return (
-                    window_length is None
-                    and isinstance(extra, tuple)
-                    and len(extra) == 3
-                    and extra[0] == "train"
-                    and extra[1] == stream_id
-                )
-
-            doomed = [key for key in self._entries if references(key)]
+            doomed = [
+                key
+                for key in self._entries
+                if key[0] == stream_id
+                and (window_length is None or key[1] == window_length)
+            ]
             for key in doomed:
                 del self._entries[key]
             unpinned = not any(key[0] == stream_id for key in self._entries)
@@ -278,11 +262,10 @@ class WindowCache:
     ) -> np.ndarray:
         """Sorted distinct packed keys of ``stream`` at ``window_length``.
 
-        The membership database both kernel tiers bisect against:
+        The membership database Stide and t-Stide bisect against:
         derived from the shared unique decomposition (lexicographic
         rows under order-preserving bit packing come out sorted), so
-        Stide, t-Stide and the automaton ladder all read one table per
-        (training stream, order).
+        both families read one table per (training stream, order).
         """
         # Resolve the decomposition before entering _get: the cache
         # lock is not reentrant.
@@ -291,69 +274,6 @@ class WindowCache:
         )
         key = (id(stream), window_length, "packed_db", alphabet_size)
         return self._get(stream, key, lambda: pack_windows(rows, alphabet_size))
-
-    def stream_codes(
-        self, stream: np.ndarray, alphabet_size: int, max_order: int
-    ):
-        """The per-order packed-code ladder of ``stream``, memoized.
-
-        One :class:`~repro.runtime.automaton.StreamCodes` per
-        (stream, alphabet, max order): the stream is packed once at the
-        highest packable order and every lower order's keys are derived
-        by shifting (orders materialize lazily inside the object).
-        """
-        from repro.runtime.automaton import StreamCodes
-
-        key = (id(stream), 0, "codes", (alphabet_size, max_order))
-        return self._get(
-            stream, key, lambda: StreamCodes(stream, alphabet_size, max_order)
-        )
-
-    def membership_profile(
-        self,
-        test_stream: np.ndarray,
-        training_stream: np.ndarray,
-        alphabet_size: int,
-        max_order: int,
-    ) -> np.ndarray:
-        """Match-length profile of ``test_stream`` against training.
-
-        ``profile[i]`` is the longest order ``L <= max_order`` whose
-        window at position ``i`` occurs in ``training_stream`` (see
-        :func:`repro.runtime.automaton.match_profile`) — computed once
-        per (test stream, training stream, alphabet) and shared by
-        every membership cell of a sweep: all DWs of Stide *and*
-        t-Stide read the same array.
-        """
-        from repro.runtime.automaton import match_profile
-
-        key = (
-            id(test_stream),
-            max_order,
-            "profile",
-            ("train", id(training_stream), alphabet_size),
-        )
-        # Hot-path peek: every membership cell of a sweep asks for the
-        # same profile, and resolving the per-order databases costs 14
-        # locked lookups — only worth paying on the one miss.
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._hits += 1
-                telemetry.count("cache.hit")
-                return cached
-        codes = self.stream_codes(test_stream, alphabet_size, max_order)
-        databases = {
-            order: (
-                self.packed_db(training_stream, order, alphabet_size)
-                if order <= len(training_stream)
-                else np.empty(0, dtype=np.int64)
-            )
-            for order in range(2, codes.cap + 1)
-        }
-        return self._get(
-            test_stream, key, lambda: match_profile(codes, databases)
-        )
 
     def unique(
         self,

@@ -69,7 +69,6 @@ from repro.runtime.fitindex import (
     WarmStartPolicy,
     WarmStartRegistry,
 )
-from repro.runtime.kernels import KERNEL_TIERS, TIER_AUTO
 from repro.runtime.resilience import (
     ResiliencePolicy,
     ResilientRunner,
@@ -107,7 +106,6 @@ def evaluate_window_block(
     store: ArtifactStore | None = None,
     warm_policy: WarmStartPolicy | None = None,
     warm_registry: WarmStartRegistry | None = None,
-    kernel_tier: str = TIER_AUTO,
 ) -> list[CellResult]:
     """Fit one detector and score it on every anomaly size of the suite.
 
@@ -130,14 +128,10 @@ def evaluate_window_block(
             :class:`~repro.runtime.fitindex.WarmStartPolicy`).
         warm_registry: in-process donor registry shared across the
             sweep's blocks.
-        kernel_tier: membership kernel tier for the block's scoring
-            (see :meth:`~repro.detectors.base.AnomalyDetector.attach_kernel_tier`);
-            responses are bit-identical across tiers.
 
     Returns:
         One :class:`CellResult` per anomaly size, ascending.
     """
-    detector.attach_kernel_tier(kernel_tier)
     if cache is not None:
         detector.attach_cache(cache)
     if store is not None:
@@ -238,7 +232,6 @@ def _process_window_block(
     store_spec: tuple[str, int | None] | None = None,
     warm_policy: WarmStartPolicy | None = None,
     telemetry_spec: TelemetryConfig | None = None,
-    kernel_tier: str = TIER_AUTO,
 ) -> tuple[
     str, int, list[CellResult], CacheStats, FitRecord | None, dict | None
 ]:
@@ -270,7 +263,6 @@ def _process_window_block(
                 store=store,
                 warm_policy=warm_policy,
                 warm_registry=registry,
-                kernel_tier=kernel_tier,
             )
         stats = cache.stats
         if before is not None:
@@ -293,7 +285,6 @@ def _process_resilient_block(
     store_spec: tuple[str, int | None] | None,
     warm_policy: WarmStartPolicy | None,
     telemetry_spec: TelemetryConfig | None,
-    kernel_tier: str,
     attempt: int,
 ) -> tuple[list[CellResult], CacheStats, FitRecord | None, dict | None]:
     """Process-pool entry point for the resilient scheduler.
@@ -312,7 +303,6 @@ def _process_resilient_block(
         store_spec,
         warm_policy,
         telemetry_spec,
-        kernel_tier,
     )
     if corrupt:
         cells = corrupt_block(cells)
@@ -371,14 +361,6 @@ class SweepEngine:
             including snapshots merged back from process workers.
             ``None`` (the default) keeps every instrumentation site on
             its single-branch disabled path.
-        kernel_tier: membership kernel tier applied to every block
-            (``auto`` | ``bisect`` | ``automaton``, the CLI's
-            ``--kernel-tier``).  ``auto`` (default) routes packable
-            Stide/t-Stide cells through the one-pass multi-order
-            automaton (:mod:`repro.runtime.automaton`); ``bisect``
-            pins the classic per-DW bisection; ``automaton`` forces
-            the profile path where applicable.  Maps are bit-identical
-            across tiers and backends.
 
     Raises:
         EvaluationError: for unknown executors or worker counts < 1.
@@ -399,7 +381,6 @@ class SweepEngine:
         warm_start: bool | None = None,
         warm_policy: WarmStartPolicy | None = None,
         telemetry: Telemetry | None = None,
-        kernel_tier: str = TIER_AUTO,
     ) -> None:
         if executor not in EXECUTORS:
             raise EvaluationError(
@@ -407,11 +388,6 @@ class SweepEngine:
             )
         if max_workers is not None and max_workers < 1:
             raise EvaluationError(f"max_workers must be >= 1, got {max_workers}")
-        if kernel_tier not in KERNEL_TIERS:
-            raise EvaluationError(
-                f"unknown kernel tier {kernel_tier!r}; "
-                f"available: {', '.join(KERNEL_TIERS)}"
-            )
         self._max_workers = max_workers or os.cpu_count() or 1
         self._executor = executor
         self._memoized = frozenset(memoized_detectors)
@@ -427,7 +403,6 @@ class SweepEngine:
         self._ledger: FitLedger | None = None
         self._last_fit_stats = FitStats()
         self._telemetry = telemetry
-        self._kernel_tier = kernel_tier
 
     @property
     def max_workers(self) -> int:
@@ -473,11 +448,6 @@ class SweepEngine:
     def telemetry(self) -> Telemetry | None:
         """The attached telemetry collector (``None`` = disabled)."""
         return self._telemetry
-
-    @property
-    def kernel_tier(self) -> str:
-        """The membership kernel tier applied to every block."""
-        return self._kernel_tier
 
     def attach_telemetry(self, collector: Telemetry | None) -> None:
         """Attach (or detach, with ``None``) a telemetry collector."""
@@ -795,7 +765,6 @@ class SweepEngine:
                 store=self._store,
                 warm_policy=self._warm_policy,
                 warm_registry=self._warm_registry,
-                kernel_tier=self._kernel_tier,
             )
         ledger = self._ledger
         if ledger is not None:
@@ -844,7 +813,6 @@ class SweepEngine:
                         store_spec,
                         self._warm_policy,
                         telemetry_spec,
-                        self._kernel_tier,
                     )
                     for _name, registry_name, _factory, window_length in blocks
                 ]
@@ -941,7 +909,6 @@ class SweepEngine:
                             self._telemetry.spec()
                             if self._telemetry is not None
                             else None,
-                            self._kernel_tier,
                         ),
                     )
                 tasks.append(

@@ -19,9 +19,7 @@ in this module replace the walk with a single NumPy pass per batch:
   :func:`hamming_batch_distance`), chunked to bound memory;
 * **dispatch** — :func:`score_batch` is the uniform array-in/array-out
   entry point (the neural network's batched forward pass already lives
-  behind ``score_windows``), and :func:`resolve_kernel_tier` decides
-  whether a membership cell runs the per-DW bisection or the one-pass
-  multi-order automaton of :mod:`repro.runtime.automaton`.
+  behind ``score_windows``).
 
 Every kernel is **bit-identical** to the scalar
 ``AnomalyDetector._score_windows`` fallback it replaces — the same
@@ -37,13 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import WindowError
-from repro.sequences.windows import packable, windows_array
+from repro.sequences.windows import windows_array
 
 __all__ = [
-    "KERNEL_TIERS",
-    "TIER_AUTO",
-    "TIER_AUTOMATON",
-    "TIER_BISECT",
     "count_lookup",
     "fused_stream_windows",
     "hamming_batch_distance",
@@ -51,55 +45,9 @@ __all__ = [
     "markov_batch_response",
     "merge_sorted_counts",
     "merge_sorted_unique",
-    "resolve_kernel_tier",
     "score_batch",
     "sorted_membership",
 ]
-
-#: The membership kernel tiers selectable via ``--kernel-tier``.
-TIER_AUTO = "auto"
-TIER_BISECT = "bisect"
-TIER_AUTOMATON = "automaton"
-KERNEL_TIERS: tuple[str, ...] = (TIER_AUTO, TIER_BISECT, TIER_AUTOMATON)
-
-
-def resolve_kernel_tier(
-    tier: str,
-    alphabet_size: int,
-    window_length: int,
-    max_order: int | None = None,
-) -> str:
-    """The concrete membership tier a (tier request, cell) pair runs.
-
-    ``bisect`` is always honored.  ``automaton`` and ``auto`` resolve
-    to the automaton only where it is *applicable*: the cell's windows
-    must fit the 63-bit bit-width packing budget (so AS=32/DW=13 falls
-    back to bisect even when the automaton is forced) and the window
-    length must not exceed the profile's ``max_order`` (default
-    :data:`repro.runtime.automaton.AUTOMATON_MAX_ORDER`).  Callers
-    still apply their own context rules on top — the detectors require
-    a single retained training stream, and ``auto`` additionally
-    requires an attached :class:`~repro.runtime.cache.WindowCache`
-    (without one the profile cannot amortize across cells, so auto
-    keeps the bisection).
-
-    Raises:
-        ValueError: on a tier outside :data:`KERNEL_TIERS`.
-    """
-    if tier not in KERNEL_TIERS:
-        raise ValueError(
-            f"unknown kernel tier {tier!r}; expected one of {KERNEL_TIERS}"
-        )
-    if tier == TIER_BISECT:
-        return TIER_BISECT
-    if max_order is None:
-        from repro.runtime.automaton import AUTOMATON_MAX_ORDER
-
-        max_order = AUTOMATON_MAX_ORDER
-    if window_length > max_order or not packable(alphabet_size, window_length):
-        return TIER_BISECT
-    return TIER_AUTOMATON
-
 
 def sorted_membership(probes: np.ndarray, database: np.ndarray) -> np.ndarray:
     """Whether each probe occurs in an already-sorted database.

@@ -787,11 +787,6 @@ def check_trace_counters(
     * when every sweep ran with a store, ``store.miss`` events ==
       ``fits.computed + fits.warm`` (every non-store fit paid exactly
       one store miss first);
-    * the kernel-tier split is lossless: every membership window (and
-      cell) a sequence detector scored was dispatched to exactly one
-      of the automaton or bisect tiers, so ``kernel.automaton.* +
-      kernel.bisect.* == kernel.membership.*`` — the audit that both
-      tiers saw identical traffic;
     * the serving fleet store's accounting balances: hot-tier inserts
       minus evictions minus removals equals the resident-entry
       counter, the resident byte gauges never go negative, and
@@ -841,17 +836,6 @@ def check_trace_counters(
                 problems.append(
                     f"store.miss events ({counter('store.miss'):g}) != "
                     f"fits.computed + fits.warm ({fitted:g})"
-                )
-    for unit in ("windows", "cells"):
-        total = counter(f"kernel.membership.{unit}")
-        if total:
-            split = counter(f"kernel.automaton.{unit}") + counter(
-                f"kernel.bisect.{unit}"
-            )
-            if split != total:
-                problems.append(
-                    f"kernel tier split ({split:g} {unit}) != "
-                    f"membership traffic ({total:g} {unit})"
                 )
     if "serve.hot.insert" in counters or "serve.hot.resident_entries" in counters:
         flow = (
@@ -981,11 +965,7 @@ def summarize_trace(path: str | Path) -> str:
     ]
     membership = counters.get("kernel.membership.cells", 0)
     if membership:
-        lines.append(
-            f"membership cells: {membership:g} "
-            f"({counters.get('kernel.automaton.cells', 0):g} automaton / "
-            f"{counters.get('kernel.bisect.cells', 0):g} bisect)"
-        )
+        lines.append(f"membership cells: {membership:g}")
     batch = histograms.get("kernel.batch_size")
     if batch and batch["count"]:
         lines.append(

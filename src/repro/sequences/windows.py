@@ -117,8 +117,7 @@ def pack_windows(windows: np.ndarray, alphabet_size: int) -> np.ndarray:
     injective for windows of a fixed length and preserves lexicographic
     order (the first symbol owns the highest lane), so sorting packed
     keys sorts the underlying windows — which is what lets the
-    membership kernels bisect packed databases and the automaton derive
-    shorter-window keys by right-shifting longer ones.  For power-of-two
+    membership kernels bisect packed databases.  For power-of-two
     alphabets the values coincide with the historical base-``AS``
     encoding; for other alphabets the budget is strictly wider
     (``k * ceil(log2 AS) <= 63`` instead of ``k * log2 AS < 63``).

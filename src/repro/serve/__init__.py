@@ -13,7 +13,7 @@ Modules:
 * :mod:`repro.serve.tenants` — tenant state store and recovery
 * :mod:`repro.serve.breaker` — three-state circuit breaker
 * :mod:`repro.serve.admission` — deadlines, bounded queues, bulkheads
-* :mod:`repro.serve.pipeline` — kernel-tier degradation ladder
+* :mod:`repro.serve.pipeline` — validate, fused score, or refuse
 * :mod:`repro.serve.batching` — cross-tenant micro-batch scheduler
 * :mod:`repro.serve.chaos` — seeded serving fault injection
 * :mod:`repro.serve.server` — the asyncio HTTP front end

@@ -80,7 +80,35 @@ _REASONS = {
 
 #: Refusal reasons that indicate the *tenant's pipeline* is unhealthy
 #: (they advance its circuit breaker); admission refusals do not.
-_BREAKER_REASONS = frozenset({"ladder-exhausted", "worker-crash"})
+_BREAKER_REASONS = frozenset({"score-failed", "worker-crash"})
+
+
+def _window_field(raw: object) -> int:
+    """A score request's ``window`` as an int, or a 422 refusal.
+
+    Accepts a JSON integer, or a float with no fractional part
+    (``4.0``).  A bool, a fractional or non-finite number, a string or
+    any other type is refused with ``invalid-window`` rather than
+    coerced, and so is a window below 1.
+    """
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, (int, float))
+        or (isinstance(raw, float) and not raw.is_integer())
+    ):
+        raise ScoreRefusal(
+            f"window must be an integer, got {raw!r}",
+            status=422,
+            reason="invalid-window",
+        )
+    window = int(raw)
+    if window < 1:
+        raise ScoreRefusal(
+            f"window must be >= 1, got {window}",
+            status=422,
+            reason="invalid-window",
+        )
+    return window
 
 
 class ScoringServer:
@@ -92,8 +120,6 @@ class ScoringServer:
         port: bind port (0 picks a free one; see :attr:`port`).
         policy: admission limits; defaults to :class:`AdmissionPolicy`.
         chaos: fault director; ``None`` serves faithfully.
-        retries: per-request full-ladder retry budget
-            (``--retries`` semantics).
         snapshot_every: tenant snapshot cadence (0 disables).
         fsync: fsync WAL appends (power-loss durability).
         models: optional tiered fleet model store (hot LRU → mmap
@@ -113,7 +139,6 @@ class ScoringServer:
         port: int = 0,
         policy: AdmissionPolicy | None = None,
         chaos: ChaosDirector | None = None,
-        retries: int = 1,
         snapshot_every: int = 8,
         fsync: bool = False,
         models: ShardedStore | None = None,
@@ -130,7 +155,7 @@ class ScoringServer:
             models=models,
             delta_verify_every=delta_verify_every,
         )
-        self.pipeline = ScorePipeline(self.tenants, retries=retries)
+        self.pipeline = ScorePipeline(self.tenants)
         self.batcher = BatchScheduler(
             self.pipeline,
             self.chaos,
@@ -519,20 +544,7 @@ class ScoringServer:
         resolves when the scheduler scores the job's group.
         """
         family = str(body.get("family", "stide"))
-        try:
-            window = int(body.get("window", 0))
-        except (TypeError, ValueError):
-            raise ScoreRefusal(
-                f"window must be an integer, got {body.get('window')!r}",
-                status=422,
-                reason="invalid-window",
-            ) from None
-        if window < 1:
-            raise ScoreRefusal(
-                f"window must be >= 1, got {window}",
-                status=422,
-                reason="invalid-window",
-            )
+        window = _window_field(body.get("window", 0))
         loop = asyncio.get_running_loop()
         job = ScoreJob(
             tenant_id=tenant_id,

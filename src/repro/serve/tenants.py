@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import create_detector
-from repro.exceptions import ScoreRefusal, TenantRecoveryError
+from repro.exceptions import (
+    DetectorConfigurationError,
+    ScoreRefusal,
+    TenantRecoveryError,
+)
 from repro.runtime import telemetry
 from repro.runtime.deltafit import verify_delta
 from repro.runtime.shardstore import ShardedStore
@@ -67,6 +71,23 @@ class RecoveryReport:
     from_snapshot: int = 0
     replayed_records: int = 0
     quarantined: tuple[str, ...] = ()
+
+
+def _create_detector(
+    family: str, window: int, alphabet_size: int
+) -> AnomalyDetector:
+    """:func:`create_detector`, refusing a bad (family, window) with 422.
+
+    An unknown family or a window the family rejects is the client's
+    error, so it must not surface as a crash that advances the
+    tenant's circuit breaker.
+    """
+    try:
+        return create_detector(family, window, alphabet_size)
+    except DetectorConfigurationError as error:
+        raise ScoreRefusal(
+            str(error), status=422, reason="invalid-detector"
+        ) from None
 
 
 class TenantStateStore:
@@ -432,7 +453,7 @@ class TenantStateStore:
         ):
             self._models.invalidate(key)
             return None
-        detector = create_detector(family, window, state.alphabet_size)
+        detector = _create_detector(family, window, state.alphabet_size)
         if not detector.import_fit_state(arrays):
             self._models.invalidate(key)
             return None
@@ -517,9 +538,10 @@ class TenantStateStore:
         dict cache with invalidate-on-ingest.
 
         Raises:
-            ScoreRefusal: 422 when the tenant's normal database cannot
-                support the window (fewer events than one window), or
-                propagated configuration errors as 404/422 refusals.
+            ScoreRefusal: 422 ``insufficient-training`` when the
+                tenant's normal database cannot support the window
+                (fewer events than one window); 422 ``invalid-detector``
+                for an unknown family or a window the family rejects.
         """
         if self._models is None:
             cached = state.detectors.get((family, window))
@@ -551,7 +573,7 @@ class TenantStateStore:
                 family=family,
                 dw=window,
             ):
-                detector = create_detector(
+                detector = _create_detector(
                     family, window, state.alphabet_size
                 )
                 detector.fit(state.events)

@@ -243,6 +243,87 @@ class TestTraceRoundTrip:
         )
         assert any("cache.hit" in problem for problem in problems)
 
+    @pytest.mark.parametrize(
+        "counters, needle",
+        [
+            ({"sweep.count": 1, "cache.hit": 3, "cache.hits": 2}, "cache.hit"),
+            ({"sweep.count": 1, "cache.miss": 1}, "cache.miss"),
+            ({"sweep.count": 1, "store.hit": 2, "fits.from_store": 1},
+             "store.hit"),
+            (
+                {
+                    "sweep.count": 1,
+                    "sweep.with_store": 1,
+                    "store.miss": 1,
+                    "fits.computed": 3,
+                },
+                "store.miss",
+            ),
+            (
+                {
+                    "serve.hot.insert": 3,
+                    "serve.hot.evict": 1,
+                    "serve.hot.resident_entries": 1,
+                },
+                "hot-tier flow",
+            ),
+            ({"serve.hot.resident_bytes": -8}, "negative"),
+            ({"serve.delta.diverged": 1}, "diverged"),
+            ({"serve.batch.jobs_in": 5, "serve.batch.jobs_out": 3},
+             "never resolved"),
+            (
+                {
+                    "serve.batch.jobs_in": 2,
+                    "serve.batch.jobs_out": 2,
+                    "serve.batch.flush": 3,
+                    "serve.batch.flush.solo": 2,
+                },
+                "flush reasons",
+            ),
+            (
+                {
+                    "plan.stage.visited": 3,
+                    "plan.stage.run": 1,
+                    "plan.stage.cached": 1,
+                },
+                "plan stages",
+            ),
+            ({"plan.lease.claim": 1, "plan.lease.released": 2},
+             "plan.lease.released"),
+            ({"plan.lease.claim": 1, "plan.lease.takeover": 2},
+             "plan.lease.takeover"),
+        ],
+        ids=[
+            "cache-hit",
+            "cache-miss",
+            "store-hit",
+            "store-miss",
+            "hot-tier-flow",
+            "negative-gauge",
+            "delta-diverged",
+            "batch-settle",
+            "flush-reasons",
+            "plan-stages",
+            "lease-released",
+            "lease-takeover",
+        ],
+    )
+    def test_check_trace_counters_flags_each_rule(
+        self, counters, needle, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        problems = check_trace_counters(counters)
+        assert len(problems) == 1 and needle in problems[0], problems
+        doctored = Telemetry()
+        for name, value in counters.items():
+            doctored.metrics.count(name, value)
+        path = doctored.write_trace(tmp_path / "doctored.jsonl")
+        assert main(["trace", "validate", str(path)]) == 1
+        assert needle in capsys.readouterr().err
+        clean = Telemetry().write_trace(tmp_path / "clean.jsonl")
+        assert main(["trace", "validate", str(clean)]) == 0
+
     def test_check_trace_counters_flags_dangling_parent(self):
         spans = [
             {"id": "1-2", "parent": "1-404", "phase": "fit", "name": ""},

@@ -1,10 +1,10 @@
 """Micro-batch scheduler tests: bit-identity, isolation, loop thread.
 
-The load-bearing assertion lives in the seeded fuzz test: for every
-detector family and both fused kernel shapes (packed keys for the
-count families, fused sliding windows for the rest), a batched score
-is **bit-identical** to the sequential pipeline's answer.  Everything
-else checks the blast-radius properties — a quarantined or breaker-open
+The load-bearing assertion lives in the seeded fuzz tests: for every
+detector family, at packable and unpackable cells, a batched score is
+**bit-identical** to a plain ``create_detector(...).fit(...)
+.score_stream(...)`` reference.  Everything else checks the
+blast-radius properties — a quarantined, breaker-open or failing
 member fails alone, tenant work never leaves the event-loop thread,
 and the scheduler's counter ledger balances.
 """
@@ -18,6 +18,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.detectors.registry import create_detector
 from repro.exceptions import ScoreRefusal
 from repro.runtime.telemetry import (
     Telemetry,
@@ -40,9 +41,7 @@ from repro.serve.tenants import TenantStateStore
 
 ALPHABET = 8
 
-#: Every registered family the serving API exposes, exercising both
-#: fused kernel shapes: packed keys (stide / t-stide / markov) and
-#: fused sliding windows (the rest).
+#: Every registered family the serving API exposes.
 FAMILIES = (
     "stide",
     "t-stide",
@@ -52,28 +51,34 @@ FAMILIES = (
     "neural-network",
 )
 
-#: DW=4 resolves to the packed/automaton tier for AS=8; DW=24 exceeds
-#: the 64-bit pack budget, forcing the bisect tier and the fused
-#: window path even for the packed families.
+#: DW=4 packs into one 63-bit key per window for AS=8; DW=24 exceeds
+#: the packing budget, so the count families fall back to their tuple
+#: tables.
 WINDOWS = (4, 24)
+
+#: AS=32 spends 5 bits per symbol, so DW=13 (65 bits) is the smallest
+#: unpackable window of the paper's grid.
+WIDE_ALPHABET, UNPACKABLE_WINDOW = 32, 13
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-def _train_stream(seed: int, length: int = 600) -> np.ndarray:
+def _train_stream(
+    seed: int, length: int = 600, alphabet: int = ALPHABET
+) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, ALPHABET, size=length).astype(np.int64)
+    return rng.integers(0, alphabet, size=length).astype(np.int64)
 
 
-def _make_job(tenant_id, family, window, events, seq):
+def _make_job(tenant_id, family, window, events, seq, alphabet=ALPHABET):
     loop = asyncio.get_running_loop()
     return ScoreJob(
         tenant_id=tenant_id,
         family=family,
         window=window,
-        alphabet_size=ALPHABET,
+        alphabet_size=alphabet,
         events=events,
         key=f"{tenant_id}|score|{seq}",
         attempt=1,
@@ -83,63 +88,78 @@ def _make_job(tenant_id, family, window, events, seq):
     )
 
 
-async def _fitted_store(root: str, tenants: int = 3) -> TenantStateStore:
+async def _fitted_store(
+    root: str, tenants: int = 3, alphabet: int = ALPHABET
+) -> TenantStateStore:
     store = TenantStateStore(root)
     for index in range(tenants):
-        state = store.open(f"t{index:02d}", ALPHABET)
-        store.ingest(state, _train_stream(100 + index))
+        state = store.open(f"t{index:02d}", alphabet)
+        store.ingest(state, _train_stream(100 + index, alphabet=alphabet))
     return store
+
+
+def _reference(store, job) -> tuple[float, ...]:
+    """The plain fit-then-score answer for one job, no serving path."""
+    state = store.get(job.tenant_id)
+    detector = create_detector(job.family, job.window, state.alphabet_size)
+    return tuple(
+        detector.fit(state.events).score_stream(job.events).tolist()
+    )
+
+
+async def _fuzz_against_reference(
+    families, windows, alphabet: int, seed: int
+) -> None:
+    """Batch five random jobs per cell; each must match the reference."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as root:
+        store = await _fitted_store(root, tenants=3, alphabet=alphabet)
+        scheduler = BatchScheduler(
+            ScorePipeline(store),
+            ChaosDirector(),
+            policy=BatchPolicy(max_batch=16, max_wait_us=2000.0),
+        )
+        try:
+            for family in families:
+                for window in windows:
+                    jobs = []
+                    for k in range(5):
+                        tenant = f"t{rng.integers(0, 3):02d}"
+                        events = rng.integers(
+                            0, alphabet,
+                            size=int(rng.integers(window + 1, 90)),
+                        ).astype(np.int64)
+                        jobs.append(
+                            _make_job(tenant, family, window, events, k,
+                                      alphabet=alphabet)
+                        )
+                    outcomes = await asyncio.gather(
+                        *(scheduler.submit(job) for job in jobs)
+                    )
+                    for job, outcome in zip(jobs, outcomes):
+                        assert outcome.scores == _reference(store, job), (
+                            family, window, job.tenant_id,
+                        )
+        finally:
+            await scheduler.close()
+        snap = scheduler.snapshot()
+        assert snap["jobs_in"] == snap["jobs_out"]
+        assert snap["refused"] == 0
 
 
 class TestFuzzBitIdentity:
     def test_batched_equals_sequential_all_families_both_tiers(self):
-        """Seeded fuzz: fused batch scores == sequential scores, bitwise."""
+        """Seeded fuzz: fused batch scores == plain reference, bitwise."""
+        run(_fuzz_against_reference(FAMILIES, WINDOWS, ALPHABET, 2026))
 
-        async def scenario():
-            rng = np.random.default_rng(2026)
-            with tempfile.TemporaryDirectory() as root:
-                store = await _fitted_store(root, tenants=3)
-                pipeline = ScorePipeline(store)
-                scheduler = BatchScheduler(
-                    pipeline,
-                    ChaosDirector(),
-                    policy=BatchPolicy(max_batch=16, max_wait_us=2000.0),
-                )
-                try:
-                    for family in FAMILIES:
-                        for window in WINDOWS:
-                            jobs = []
-                            for k in range(5):
-                                tenant = f"t{rng.integers(0, 3):02d}"
-                                events = rng.integers(
-                                    0, ALPHABET,
-                                    size=int(rng.integers(window + 1, 90)),
-                                ).astype(np.int64)
-                                jobs.append(
-                                    _make_job(tenant, family, window,
-                                              events, k)
-                                )
-                            tasks = [
-                                asyncio.ensure_future(scheduler.submit(job))
-                                for job in jobs
-                            ]
-                            outcomes = await asyncio.gather(*tasks)
-                            for job, outcome in zip(jobs, outcomes):
-                                state = store.get(job.tenant_id)
-                                expected = pipeline.score(
-                                    state, family, window,
-                                    job.events, Deadline.after(30.0),
-                                )
-                                assert outcome.scores == expected.scores, (
-                                    family, window, job.tenant_id,
-                                )
-                finally:
-                    await scheduler.close()
-                snap = scheduler.snapshot()
-                assert snap["jobs_in"] == snap["jobs_out"]
-                assert snap["refused"] == 0
-
-        run(scenario())
+    def test_unpackable_cell_matches_reference(self):
+        """AS=32/DW=13 overflows the 63-bit key: tuple tables, same bits."""
+        families = ("stide", "t-stide", "markov", "lane-brodley")
+        run(
+            _fuzz_against_reference(
+                families, (UNPACKABLE_WINDOW,), WIDE_ALPHABET, 2027
+            )
+        )
 
     def test_fused_tier_is_reported_for_grouped_jobs(self):
         async def scenario():
@@ -204,14 +224,55 @@ class TestBlastRadius:
                 assert isinstance(results[1], ScoreRefusal)
                 assert results[1].reason == "quarantined"
                 for healthy in (0, 2):
-                    state = store.get(f"t{healthy:02d}")
-                    expected = ScorePipeline(store).score(
-                        state, "stide", 4,
-                        jobs[healthy].events, Deadline.after(30.0),
+                    assert results[healthy].scores == _reference(
+                        store, jobs[healthy]
                     )
-                    assert results[healthy].scores == expected.scores
                 snap = scheduler.snapshot()
                 assert snap["jobs_out"] == 2
+                assert snap["refused"] == 1
+
+        run(scenario())
+
+    def test_failing_kernel_call_refuses_only_that_member(self):
+        """A member whose score_windows raises gets 503 score-failed."""
+
+        async def scenario():
+            with tempfile.TemporaryDirectory() as root:
+                store = await _fitted_store(root, tenants=3)
+                broken = store.detector_for(store.get("t01"), "markov", 4)
+
+                def explode(windows):
+                    raise RuntimeError("kernel fault")
+
+                broken.score_windows = explode
+                scheduler = BatchScheduler(
+                    ScorePipeline(store),
+                    ChaosDirector(),
+                    policy=BatchPolicy(max_batch=8, max_wait_us=20000.0),
+                )
+                try:
+                    jobs = [
+                        _make_job(f"t{i:02d}", "markov", 4,
+                                  _train_stream(70 + i, 60), i)
+                        for i in range(3)
+                    ]
+                    results = await asyncio.gather(
+                        *(scheduler.submit(job) for job in jobs),
+                        return_exceptions=True,
+                    )
+                finally:
+                    await scheduler.close()
+                refusal = results[1]
+                assert isinstance(refusal, ScoreRefusal)
+                assert (refusal.status, refusal.reason) == (503, "score-failed")
+                assert refusal.retryable
+                for healthy in (0, 2):
+                    assert results[healthy].scores == _reference(
+                        store, jobs[healthy]
+                    )
+                snap = scheduler.snapshot()
+                assert snap["occupancy_max"] == 3  # one batch of three
+                assert snap["jobs_in"] == snap["jobs_out"] + snap["refused"]
                 assert snap["refused"] == 1
 
         run(scenario())

@@ -91,7 +91,7 @@ async def _chaos_run(kinds, rate=0.5, seed=11, plan_seed=5):
     with tempfile.TemporaryDirectory() as root:
         schedule = ServeFaultSchedule(rate=rate, seed=seed, kinds=kinds)
         chaos = ChaosDirector(schedule)
-        server = ScoringServer(root, chaos=chaos, retries=1)
+        server = ScoringServer(root, chaos=chaos)
         await server.start()
         try:
             report = await run_load(

@@ -107,7 +107,7 @@ class TestTrainAndScore:
             detector.fit(np.asarray(training, dtype=np.int64))
             expected = detector.score_stream(np.asarray(test, dtype=np.int64))
             assert np.array_equal(np.asarray(body["scores"]), expected)
-            assert body["tier"] in ("fused", "automaton", "bisect")
+            assert body["tier"] == "fused"
             assert body["attempts"] == 1
 
         run(_with_server(scenario))
@@ -211,8 +211,25 @@ class TestTrainAndScore:
             ("budget", "abc", "invalid-deadline"),
             ("budget", [1], "invalid-deadline"),
             ("budget", float("nan"), "invalid-deadline"),
+            ("family", "bogus", "invalid-detector"),
+            ("family", ["stide"], "invalid-detector"),
+            ("window", 1, "invalid-detector"),
+            ("window", True, "invalid-window"),
+            ("window", 1e400, "invalid-window"),
+            ("window", 2.9, "invalid-window"),
         ],
-        ids=["attempt-str", "budget-str", "budget-list", "budget-nan"],
+        ids=[
+            "attempt-str",
+            "budget-str",
+            "budget-list",
+            "budget-nan",
+            "family-bogus",
+            "family-list",
+            "window-1",
+            "window-bool",
+            "window-1e400",
+            "window-fractional",
+        ],
     )
     def test_malformed_request_field_422(self, field, value, reason):
         async def scenario(server):
@@ -240,6 +257,37 @@ class TestTrainAndScore:
             assert body["reason"] == reason
             assert not body["retryable"]
             assert server.refusals == {422: 1}
+
+        run(_with_server(scenario))
+
+    def test_bad_family_refusals_leave_the_breaker_closed(self):
+        async def scenario(server):
+            host, port = "127.0.0.1", server.port
+            path = "/v1/tenants/a/score"
+            await request(
+                host,
+                port,
+                "POST",
+                "/v1/tenants/a/train",
+                {"events": _events(1), "alphabet_size": ALPHABET},
+            )
+            for _ in range(6):
+                status, body = await request(
+                    host,
+                    port,
+                    "POST",
+                    path,
+                    {"family": "bogus", "window": 4, "events": _events(2)},
+                )
+                assert (status, body["reason"]) == (422, "invalid-detector")
+            status, body = await request(
+                host,
+                port,
+                "POST",
+                path,
+                {"family": "stide", "window": 4, "events": _events(2)},
+            )
+            assert status == 200, body
 
         run(_with_server(scenario))
 
