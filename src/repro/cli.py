@@ -609,7 +609,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.runtime.resilience import ResiliencePolicy
     from repro.serve import (
         AdmissionPolicy,
         BatchPolicy,
@@ -617,11 +616,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ScoringServer,
         ServeFaultSchedule,
     )
+    from repro.serve import tenants
 
-    resilience = ResiliencePolicy.from_args(args)
-    default_budget = 5.0
-    if resilience is not None and resilience.task_timeout is not None:
-        default_budget = resilience.task_timeout
+    default_budget = 5.0 if args.task_timeout is None else args.task_timeout
+    if not default_budget > 0:
+        raise ReproError(f"task_timeout must be > 0, got {default_budget}")
+    verify_every = args.delta_verify_every
+    if verify_every is None:
+        verify_every = tenants.DEFAULT_DELTA_VERIFY_EVERY
     policy = AdmissionPolicy(
         queue_depth=args.queue_depth,
         default_budget=default_budget,
@@ -632,16 +634,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     schedule = None
     if args.chaos_rate > 0:
         schedule = ServeFaultSchedule(rate=args.chaos_rate, seed=args.chaos_seed)
-    models = None
-    if args.models_dir:
-        from repro.runtime.shardstore import ShardedStore
-        from repro.runtime.store import ArtifactStore
-
-        models = ShardedStore(
-            args.models_dir,
-            hot_cap_bytes=args.hot_cap_mb * 1024 * 1024,
-            cold=ArtifactStore(Path(args.models_dir) / "cold"),
-        )
+    models = tenants.default_model_store(
+        args.models_dir or Path(args.state_dir) / "models",
+        hot_cap_bytes=args.hot_cap_mb * 1024 * 1024,
+    )
     server = ScoringServer(
         args.state_dir,
         host=args.host,
@@ -651,7 +647,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         fsync=args.fsync,
         models=models,
-        delta_verify_every=args.delta_verify_every,
+        delta_verify_every=verify_every,
         batching=BatchPolicy(
             max_batch=args.batch_max,
             max_wait_us=args.batch_wait_us,
@@ -979,8 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--models-dir",
         default=None,
         metavar="DIR",
-        help="tiered fleet model store directory (hot LRU -> mmap "
-        "shards -> cold); enables delta-fits on ingest",
+        help="tiered model store directory (hot LRU -> mmap shards "
+        "-> cold); defaults to <state-dir>/models",
     )
     serve.add_argument(
         "--hot-cap-mb",
@@ -992,10 +988,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--delta-verify-every",
         type=int,
-        default=256,
+        default=None,
         metavar="N",
         help="cross-check one delta-fitted model against a cold refit "
-        "every N delta updates (0 disables)",
+        "every N delta updates (0 disables; default 256)",
     )
     serve.add_argument(
         "--chaos-rate",

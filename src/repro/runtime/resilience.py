@@ -146,21 +146,18 @@ class ResiliencePolicy:
             )
 
     @classmethod
-    def from_args(
-        cls, args: object, default_retries: int = 2
-    ) -> "ResiliencePolicy | None":
+    def from_args(cls, args: object) -> "ResiliencePolicy | None":
         """The policy described by the shared ``--retries``/``--task-timeout`` flags.
 
         The one translation of the retry/backoff/timeout CLI surface,
-        used by every subcommand that exposes it (``maps``/``atlas``/
-        ``select`` sweeps and ``serve``), so the flags mean the same
-        thing everywhere instead of each command re-parsing them.
+        used by every sweep subcommand that exposes it (``maps``/
+        ``atlas``/``select`` and the plan commands), so the flags mean
+        the same thing everywhere instead of each command re-parsing
+        them.  Only ``--task-timeout`` leaves the default retry budget.
 
         Args:
             args: any namespace-like object; ``retries`` and
                 ``task_timeout`` attributes are read when present.
-            default_retries: retry budget applied when only
-                ``--task-timeout`` was given.
 
         Returns:
             ``None`` when neither flag was provided — callers keep
@@ -170,9 +167,7 @@ class ResiliencePolicy:
         task_timeout = getattr(args, "task_timeout", None)
         if retries is None and task_timeout is None:
             return None
-        retry = RetryPolicy(
-            retries=retries if retries is not None else default_retries
-        )
+        retry = RetryPolicy() if retries is None else RetryPolicy(retries=retries)
         return cls(retry=retry, task_timeout=task_timeout)
 
 

@@ -28,10 +28,6 @@ from repro.runtime import telemetry
 from repro.runtime.kernels import fused_stream_windows
 from repro.serve.tenants import TenantState, TenantStateStore
 
-#: The tier label every score reports: the fused batch path is the
-#: only serving score path.
-TIER_FUSED = "fused"
-
 
 @dataclass(frozen=True)
 class ScoreOutcome:
@@ -40,8 +36,6 @@ class ScoreOutcome:
     scores: tuple[float, ...]
     family: str
     window: int
-    tier: str
-    attempts: int
     elapsed: float
 
 
@@ -158,7 +152,6 @@ class ScorePipeline:
                     tenant=state.tenant_id,
                     family=family,
                     dw=window,
-                    tier=TIER_FUSED,
                     batch=len(prepared),
                 ):
                     scores = detector.score_windows(windows[start:stop])
@@ -183,8 +176,6 @@ class ScorePipeline:
                 scores=tuple(scores.tolist()),
                 family=family,
                 window=window,
-                tier=TIER_FUSED,
-                attempts=1,
                 elapsed=time.monotonic() - started,
             )
 

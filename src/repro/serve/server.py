@@ -19,7 +19,7 @@ from many lanes into one kernel call per (family, window, alphabet)
 group.  The detectors are table lookups over short windows, so at
 serving size a score or an ingest costs less than a hand-off to a
 worker thread would.  The price is that a long operation — an
-fsync'd WAL append (``fsync=True``) or a cold refit — blocks the loop
+fsync'd WAL append (``fsync=True``) or a cold fit — blocks the loop
 for its duration.  Per-tenant order is serial because each lane
 awaits its job's outcome before taking the next.
 
@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 from repro.exceptions import ScoreRefusal
 from repro.runtime import telemetry
@@ -61,7 +62,11 @@ from repro.serve.batching import BatchPolicy, BatchScheduler, ScoreJob
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.chaos import ChaosDirector
 from repro.serve.pipeline import ScorePipeline
-from repro.serve.tenants import RecoveryReport, TenantStateStore
+from repro.serve.tenants import (
+    DEFAULT_DELTA_VERIFY_EVERY,
+    RecoveryReport,
+    TenantStateStore,
+)
 
 #: Largest request body accepted, in bytes (arrays of ~1e6 events).
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -122,8 +127,9 @@ class ScoringServer:
         chaos: fault director; ``None`` serves faithfully.
         snapshot_every: tenant snapshot cadence (0 disables).
         fsync: fsync WAL appends (power-loss durability).
-        models: optional tiered fleet model store (hot LRU → mmap
-            shards → cold); enables delta-fits on ingest.
+        models: the tiered model store (hot LRU → mmap shards →
+            cold), or the directory (relative to ``root``) to build
+            :func:`~repro.serve.tenants.default_model_store` in.
         delta_verify_every: delta-fit verify cadence (0 disables).
         batching: micro-batcher knobs (``--batch-max``,
             ``--batch-wait-us``); defaults to
@@ -141,8 +147,8 @@ class ScoringServer:
         chaos: ChaosDirector | None = None,
         snapshot_every: int = 8,
         fsync: bool = False,
-        models: ShardedStore | None = None,
-        delta_verify_every: int = 0,
+        models: ShardedStore | str | Path = "models",
+        delta_verify_every: int = DEFAULT_DELTA_VERIFY_EVERY,
         batching: BatchPolicy | None = None,
         keepalive_timeout: float = 30.0,
     ) -> None:
@@ -563,8 +569,6 @@ class ScoringServer:
             "tenant": tenant_id,
             "family": outcome.family,
             "window": outcome.window,
-            "tier": outcome.tier,
-            "attempts": outcome.attempts,
             "elapsed": round(outcome.elapsed, 6),
             "scores": list(outcome.scores),
         }

@@ -7,16 +7,16 @@ deterministically from that stream, recovering the stream bit-exactly
 would have produced — the property the crash-recovery integration test
 asserts end to end.
 
-The store keeps per-tenant fitted detectors cached and invalidates
-them on ingest, so a scoring burst against a quiet tenant fits once.
-All methods are synchronous and thread-compatible under the serving
-bulkhead discipline: one lane worker mutates a given tenant at a time
-(the asyncio server guarantees this), so no per-tenant lock is needed.
+Fitted models live in a tiered :class:`~repro.runtime.shardstore.
+ShardedStore`; ingest delta-fits them (bit-identical to a refit) and
+an evicted or restarted model revives with one delta replay.  Methods
+are synchronous: the server runs every tenant operation on its
+event-loop thread, so no locks are needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,13 @@ from repro.serve.wal import DEFAULT_SEGMENT_BYTES, TenantJournal
 #: (the paper corpus alphabet).
 DEFAULT_ALPHABET_SIZE = 8
 
+#: Hot-tier byte cap of the default model store (``--hot-cap-mb``).
+DEFAULT_HOT_CAP_BYTES = 64 * 1024 * 1024
+
+#: Delta updates between two live cross-checks of a delta-fitted model
+#: against a cold refit (``--delta-verify-every``).
+DEFAULT_DELTA_VERIFY_EVERY = 256
+
 
 @dataclass
 class TenantState:
@@ -49,9 +56,6 @@ class TenantState:
     seq: int = 0
     journal: TenantJournal | None = None
     quarantined: str | None = None
-    detectors: dict[tuple[str, int], AnomalyDetector] = field(
-        default_factory=dict
-    )
 
     @property
     def event_count(self) -> int:
@@ -71,6 +75,14 @@ class RecoveryReport:
     from_snapshot: int = 0
     replayed_records: int = 0
     quarantined: tuple[str, ...] = ()
+
+
+def default_model_store(
+    directory: str | Path, hot_cap_bytes: int = DEFAULT_HOT_CAP_BYTES
+) -> ShardedStore:
+    """The serving model store; its cold tier is ``directory/cold``."""
+    cold = ArtifactStore(Path(directory) / "cold")
+    return ShardedStore(directory, hot_cap_bytes=hot_cap_bytes, cold=cold)
 
 
 def _create_detector(
@@ -93,25 +105,22 @@ def _create_detector(
 class TenantStateStore:
     """All tenants of one service instance, journaled under one root.
 
-    Layout: ``<root>/tenants/<tenant id>/{wal.jsonl,manifest.json}``
-    plus an artifact store (``<root>/store`` by default) holding the
-    snapshots.
+    Layout: ``<root>/tenants/<tenant id>/{wal.jsonl,manifest.json}``,
+    an artifact store (``<root>/store`` by default) holding the
+    snapshots, and the model store (``<root>/models`` by default).
 
     Args:
         root: service state directory.
         store: snapshot store; defaults to ``ArtifactStore(root/"store")``.
-            Pass ``None`` explicitly via ``snapshots=False`` semantics
-            is not supported — snapshots are cheap and recovery falls
-            back to the full log without them anyway.
         snapshot_every: take a snapshot every N ingests (0 disables).
         fsync: forwarded to each tenant's journal.
-        models: the tiered fleet model store.  When attached, fitted
-            detectors live in its hot LRU instead of per-tenant dicts,
+        models: the tiered model store, or the directory to build
+            :func:`default_model_store` in (a relative path resolves
+            under ``root``).  Fitted detectors live in its hot LRU,
             ingests *delta-fit* the count-based families in place
             (bit-identical to a refit, cost proportional to the
             batch), and serialized states ride the warm/cold tiers so
-            a restart replays deltas instead of refitting.  ``None``
-            keeps the original invalidate-and-refit behavior.
+            a restart replays deltas instead of refitting.
         delta_verify_every: every N delta updates, cross-check one
             updated detector against a cold refit of the full stream
             (0 disables).  A divergence — which the deltafit tests say
@@ -128,8 +137,8 @@ class TenantStateStore:
         store: ArtifactStore | None = None,
         snapshot_every: int = 8,
         fsync: bool = False,
-        models: ShardedStore | None = None,
-        delta_verify_every: int = 0,
+        models: ShardedStore | str | Path = "models",
+        delta_verify_every: int = DEFAULT_DELTA_VERIFY_EVERY,
         wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> None:
         self._root = Path(root)
@@ -140,7 +149,11 @@ class TenantStateStore:
         )
         self._snapshot_every = int(snapshot_every)
         self._fsync = fsync
-        self._models = models
+        self._models = (
+            models
+            if isinstance(models, ShardedStore)
+            else default_model_store(self._root / models)
+        )
         self._delta_verify_every = int(delta_verify_every)
         self._wal_segment_bytes = int(wal_segment_bytes)
         self._delta_updates = 0
@@ -163,8 +176,8 @@ class TenantStateStore:
         return self._tenants
 
     @property
-    def models(self) -> ShardedStore | None:
-        """The tiered fleet model store, if attached."""
+    def models(self) -> ShardedStore:
+        """The tiered model store."""
         return self._models
 
     def _tenant_dir(self, tenant_id: str) -> Path:
@@ -297,10 +310,9 @@ class TenantStateStore:
         """Append validated training events; returns the new ``seq``.
 
         WAL-first: the record is durable before the in-memory state
-        (and therefore any acknowledgement) reflects it.  With the
-        fleet model store attached, the tenant's hot detectors are
-        *delta-fitted* in place instead of invalidated — bit-identical
-        to a refit at a cost proportional to the batch.
+        (and therefore any acknowledgement) reflects it.  The
+        tenant's hot detectors are *delta-fitted* in place —
+        bit-identical to a refit at a cost proportional to the batch.
         """
         seq = state.seq + 1
         assert state.journal is not None
@@ -313,10 +325,7 @@ class TenantStateStore:
         )
         state.seq = seq
         self._account_events(int(np.asarray(events).nbytes))
-        if self._models is None:
-            state.detectors.clear()
-        else:
-            self._delta_update_models(state, events, prior)
+        self._delta_update_models(state, events, prior)
         telemetry.count("serve.ingest")
         telemetry.count("serve.ingest.events", len(events))
         if self._snapshot_every and seq % self._snapshot_every == 0:
@@ -331,11 +340,10 @@ class TenantStateStore:
                 # The snapshot is verified readable: rotated WAL
                 # segments it fully covers are dead weight.
                 state.journal.prune_segments(seq)
-                if self._models is not None:
-                    self._demote_models(state)
+                self._demote_models(state)
         return seq
 
-    # -- fleet model store ------------------------------------------------
+    # -- model store ------------------------------------------------------
 
     @staticmethod
     def _stream_prefix_digest(events: np.ndarray, count: int) -> str:
@@ -355,22 +363,37 @@ class TenantStateStore:
         detector: AnomalyDetector,
         cold: bool = False,
     ) -> None:
-        """Persist a fitted model into the warm (and hot) tiers."""
-        assert self._models is not None
+        """Cache a model hot; persist its fit state, if any, warm (and cold)."""
         exported = detector.export_fit_state()
-        if not exported:
-            return
-        arrays = dict(exported)
-        arrays["__meta"] = np.asarray(
-            [state.seq, state.event_count, state.alphabet_size],
-            dtype=np.int64,
-        )
-        digest = self._stream_prefix_digest(state.events, state.event_count)
-        arrays["__digest"] = np.frombuffer(
-            digest.encode("ascii"), dtype=np.uint8
-        ).copy()
-        self._models.put(key, arrays, cold=cold)
+        if exported:
+            arrays = dict(exported)
+            arrays["__meta"] = np.asarray(
+                [state.seq, state.event_count, state.alphabet_size],
+                dtype=np.int64,
+            )
+            digest = self._stream_prefix_digest(
+                state.events, state.event_count
+            )
+            arrays["__digest"] = np.frombuffer(
+                digest.encode("ascii"), dtype=np.uint8
+            ).copy()
+            self._models.put(key, arrays, cold=cold)
         self._models.hot.put(key, detector, detector.state_nbytes())
+
+    def _hot_models(self, state: TenantState) -> list[tuple[str, AnomalyDetector]]:
+        """The tenant's hot (key, detector) pairs.
+
+        An id may hold ``|``: prefix ``a|`` also lists tenant ``a|b``'s
+        keys, so the id before a key's last two fields must match.
+        """
+        models = []
+        for key in self._models.hot.keys_with_prefix(f"{state.tenant_id}|"):
+            detector = None
+            if key.rsplit("|", 2)[0] == state.tenant_id:
+                detector = self._models.hot.get(key)
+            if isinstance(detector, AnomalyDetector):
+                models.append((key, detector))
+        return models
 
     def _delta_update_models(
         self, state: TenantState, batch: np.ndarray, prior: np.ndarray
@@ -381,11 +404,7 @@ class TenantStateStore:
         history existed) are invalidated and refit on next use; the
         count-based families merge the batch in place and re-persist.
         """
-        assert self._models is not None
-        for key in self._models.hot.keys_with_prefix(f"{state.tenant_id}|"):
-            detector = self._models.hot.get(key)
-            if not isinstance(detector, AnomalyDetector):
-                continue
+        for key, detector in self._hot_models(state):
             window = detector.window_length
             if not detector.supports_delta_fit or len(prior) < window - 1:
                 self._models.invalidate(key)
@@ -411,11 +430,8 @@ class TenantStateStore:
         Runs at the snapshot cadence so a model's durable copy is
         never staler than the stream snapshot next to it.
         """
-        assert self._models is not None
-        for key in self._models.hot.keys_with_prefix(f"{state.tenant_id}|"):
-            detector = self._models.hot.get(key)
-            if isinstance(detector, AnomalyDetector):
-                self._stage_model(state, key, detector, cold=True)
+        for key, detector in self._hot_models(state):
+            self._stage_model(state, key, detector, cold=True)
 
     def _load_model(
         self, state: TenantState, family: str, window: int, key: str
@@ -430,7 +446,6 @@ class TenantStateStore:
         Any mismatch (foreign digest, future meta, failed import)
         invalidates the entry and falls back to a cold fit.
         """
-        assert self._models is not None
         held = self._models.get(key)
         if held is None:
             return None
@@ -532,10 +547,8 @@ class TenantStateStore:
     ) -> AnomalyDetector:
         """A fitted detector for (tenant, family, window), cached.
 
-        With the fleet store attached the lookup ladder is hot LRU →
-        warm mmap shard (delta-replayed up to the current stream) →
-        cold store → cold fit; without it, the original per-tenant
-        dict cache with invalidate-on-ingest.
+        The lookup ladder is hot LRU → warm mmap shard (delta-replayed
+        up to the current stream) → cold store → cold fit.
 
         Raises:
             ScoreRefusal: 422 ``insufficient-training`` when the
@@ -543,16 +556,11 @@ class TenantStateStore:
                 (fewer events than one window); 422 ``invalid-detector``
                 for an unknown family or a window the family rejects.
         """
-        if self._models is None:
-            cached = state.detectors.get((family, window))
-            if cached is not None:
-                return cached
-        else:
-            key = self.model_key(state.tenant_id, family, window)
-            hot = self._models.hot.get(key)
-            if isinstance(hot, AnomalyDetector):
-                # Ingest keeps hot models current, so no staleness check.
-                return hot
+        key = self.model_key(state.tenant_id, family, window)
+        hot = self._models.hot.get(key)
+        if isinstance(hot, AnomalyDetector):
+            # Ingest keeps hot models current, so no staleness check.
+            return hot
         if state.event_count < window:
             raise ScoreRefusal(
                 f"tenant {state.tenant_id!r} holds {state.event_count} "
@@ -560,11 +568,7 @@ class TenantStateStore:
                 status=422,
                 reason="insufficient-training",
             )
-        detector = (
-            self._load_model(state, family, window, key)
-            if self._models is not None
-            else None
-        )
+        detector = self._load_model(state, family, window, key)
         if detector is None:
             with telemetry.span(
                 "serve",
@@ -578,10 +582,7 @@ class TenantStateStore:
                 )
                 detector.fit(state.events)
             telemetry.count("serve.fit")
-        if self._models is None:
-            state.detectors[(family, window)] = detector
-        else:
-            self._stage_model(state, key, detector)
+        self._stage_model(state, key, detector)
         return detector
 
     # -- observability ----------------------------------------------------
@@ -598,23 +599,21 @@ class TenantStateStore:
         actual = sum(
             int(state.events.nbytes) for state in self._tenants.values()
         )
-        stats: dict = {
+        hot = self._models.hot.stats
+        store = self._models.stats
+        return {
             "tenants": len(self._tenants),
             "tenants_resident_bytes": actual,
             "tenants_resident_bytes_counter": int(self._resident_bytes),
-        }
-        if self._models is not None:
-            hot = self._models.hot.stats
-            store = self._models.stats
-            stats["hot_tier"] = {
+            "hot_tier": {
                 "resident_entries": hot.resident_entries,
                 "resident_bytes": hot.resident_bytes,
                 "cap_bytes": hot.cap_bytes,
                 "hits": hot.hits,
                 "misses": hot.misses,
                 "evictions": hot.evictions,
-            }
-            stats["model_store"] = {
+            },
+            "model_store": {
                 "warm_hits": store.warm_hits,
                 "warm_misses": store.warm_misses,
                 "cold_hits": store.cold_hits,
@@ -622,5 +621,5 @@ class TenantStateStore:
                 "compactions": store.compactions,
                 "pending_entries": store.pending_entries,
                 "shard_entries": store.shard_entries,
-            }
-        return stats
+            },
+        }

@@ -96,13 +96,6 @@ class TestFromArgs:
         assert policy.task_timeout == 1.5
         assert policy.retry.retries == 2
 
-    def test_default_retries_is_adjustable(self):
-        policy = ResiliencePolicy.from_args(
-            self._Args(task_timeout=1.5), default_retries=1
-        )
-        assert policy is not None
-        assert policy.retry.retries == 1
-
     def test_both_flags(self):
         policy = ResiliencePolicy.from_args(
             self._Args(retries=0, task_timeout=3.0)

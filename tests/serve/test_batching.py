@@ -36,7 +36,7 @@ from repro.serve import (
 )
 from repro.serve.admission import Deadline
 from repro.serve.batching import FLUSH_REASONS
-from repro.serve.pipeline import TIER_FUSED, ScorePipeline
+from repro.serve.pipeline import ScorePipeline
 from repro.serve.tenants import TenantStateStore
 
 ALPHABET = 8
@@ -161,7 +161,7 @@ class TestFuzzBitIdentity:
             )
         )
 
-    def test_fused_tier_is_reported_for_grouped_jobs(self):
+    def test_grouped_jobs_score_bit_identically(self):
         async def scenario():
             with tempfile.TemporaryDirectory() as root:
                 store = await _fitted_store(root, tenants=2)
@@ -181,8 +181,14 @@ class TestFuzzBitIdentity:
                         for j in jobs
                     ]
                     outcomes = await asyncio.gather(*tasks)
-                    assert all(o.tier == TIER_FUSED for o in outcomes)
-                    assert all(o.attempts == 1 for o in outcomes)
+                    for i, outcome in enumerate(outcomes):
+                        assert (outcome.family, outcome.window) == ("stide", 4)
+                        reference = create_detector("stide", 4, ALPHABET)
+                        reference.fit(_train_stream(100 + i))
+                        np.testing.assert_array_equal(
+                            outcome.scores,
+                            reference.score_stream(_train_stream(7 + i, 60)),
+                        )
                 finally:
                     await scheduler.close()
 
@@ -447,7 +453,7 @@ class TestSchedulerLedger:
                         _make_job("t00", "stide", 4,
                                   _train_stream(9, 60), 0)
                     )
-                    assert outcome.tier == TIER_FUSED
+                    assert len(outcome.scores) == 60 - 4 + 1
                 finally:
                     await scheduler.close()
                 # A lone job with an empty queue behind it must flush

@@ -1,11 +1,11 @@
-"""Fleet model store integration: delta-fits, tiers, restart replay.
+"""Model store integration: delta-fits, tiers, restart replay.
 
-With a :class:`~repro.runtime.shardstore.ShardedStore` attached, the
-tenant store must (a) fold ingested batches into hot detectors via
+The tenant store's :class:`~repro.runtime.shardstore.ShardedStore`
+must (a) fold ingested batches into hot detectors via
 ``update_batch`` instead of refitting, (b) revive evicted or restarted
 models from the warm mmap tier and close the gap with one delta
-replay, and (c) produce scores bit-identical to the original
-invalidate-and-refit path throughout.
+replay, and (c) produce scores bit-identical to a cold fit of the
+tenant's whole training stream throughout.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.detectors.registry import create_detector
 from repro.runtime.shardstore import ShardedStore
 from repro.runtime.store import ArtifactStore
 from repro.runtime.telemetry import (
@@ -27,6 +28,13 @@ def _models(tmp_path, **kwargs):
     kwargs.setdefault("shards", 4)
     kwargs.setdefault("cold", ArtifactStore(tmp_path / "cold"))
     return ShardedStore(tmp_path / "models", **kwargs)
+
+
+def _cold_fit(family, window, events):
+    """The reference: a fresh detector fitted on the whole stream."""
+    detector = create_detector(family, window, 8)
+    detector.fit(np.concatenate(events).astype(np.int64))
+    return detector
 
 
 def _drive(store, tenant_id="acme", batches=6, seed=3):
@@ -58,21 +66,31 @@ class TestDeltaServing:
 
     @pytest.mark.parametrize("family", ["stide", "t-stide", "markov"])
     def test_scores_bit_identical_to_refit_path(self, tmp_path, family):
-        fleet = TenantStateStore(
-            tmp_path / "fleet", models=_models(tmp_path)
-        )
-        plain = TenantStateStore(tmp_path / "plain")
-        for store in (fleet, plain):
-            state, _ = _drive(store, batches=4)
-            store.detector_for(state, family, 5)  # fit early, then delta
-            extra = np.random.default_rng(17).integers(0, 8, size=40)
-            store.ingest(state, store.validate_events(extra.tolist(), 8))
+        store = TenantStateStore(tmp_path / "fleet", models=_models(tmp_path))
+        state, chunks = _drive(store, batches=4)
+        store.detector_for(state, family, 5)  # fit early, then delta
+        extra = np.random.default_rng(17).integers(0, 8, size=40)
+        store.ingest(state, store.validate_events(extra.tolist(), 8))
         probe = np.random.default_rng(21).integers(0, 8, size=30)
-        fleet_state = fleet.get("acme")
-        plain_state = plain.get("acme")
         np.testing.assert_array_equal(
-            fleet.detector_for(fleet_state, family, 5).score_stream(probe),
-            plain.detector_for(plain_state, family, 5).score_stream(probe),
+            store.detector_for(state, family, 5).score_stream(probe),
+            _cold_fit(family, 5, [*chunks, extra]).score_stream(probe),
+        )
+
+    def test_ingest_leaves_a_tenant_sharing_the_id_prefix_alone(self, tmp_path):
+        """Tenant ``a``'s batch must not reach the models of ``a|b``,
+        whose hot-tier keys also start with ``a|``."""
+        store = TenantStateStore(tmp_path / "state", models=_models(tmp_path))
+        neighbour, chunks = _drive(store, tenant_id="a|b", batches=2)
+        tenant, _ = _drive(store, tenant_id="a", batches=2, seed=5)
+        store.detector_for(neighbour, "stide", 4)
+        store.detector_for(tenant, "stide", 4)
+        batch = np.random.default_rng(6).integers(0, 8, size=200)
+        store.ingest(tenant, store.validate_events(batch.tolist(), 8))
+        probe = np.random.default_rng(7).integers(0, 8, size=200)
+        np.testing.assert_array_equal(
+            store.detector_for(neighbour, "stide", 4).score_stream(probe),
+            _cold_fit("stide", 4, chunks).score_stream(probe),
         )
 
     def test_verify_hook_runs_and_never_diverges(self, tmp_path):
@@ -104,6 +122,16 @@ class TestDeltaServing:
             store.ingest(state, store.validate_events(batch.tolist(), 8))
             store.detector_for(state, "lane-brodley", 4)
         assert collector.metrics.snapshot()["counters"].get("serve.fit", 0) == 2
+
+    def test_family_without_fit_state_stays_cached_hot(self, tmp_path):
+        collector = Telemetry()
+        store = TenantStateStore(tmp_path / "state", models=_models(tmp_path))
+        state, _ = _drive(store, batches=2)
+        with activated(collector):
+            first = store.detector_for(state, "histogram", 4)
+            assert store.detector_for(state, "histogram", 4) is first
+        assert first.export_fit_state() is None
+        assert collector.metrics.snapshot()["counters"].get("serve.fit", 0) == 1
 
 
 class TestWarmRevival:
@@ -144,7 +172,7 @@ class TestWarmRevival:
         collector = Telemetry()
         models = _models(tmp_path, hot_cap_bytes=1)  # evict instantly
         store = TenantStateStore(tmp_path / "state", models=models)
-        state, _ = _drive(store, batches=3)
+        state, chunks = _drive(store, batches=3)
         with activated(collector):
             first = store.detector_for(state, "stide", 5)
             # The 1-byte cap holds one entry: this put evicts `first`.
@@ -157,12 +185,9 @@ class TestWarmRevival:
         assert counters.get("serve.fit", 0) == 2  # the two initial fits
         assert counters.get("serve.delta.replay", 0) >= 1
         probe = np.random.default_rng(8).integers(0, 8, size=25)
-        twin = TenantStateStore(tmp_path / "twin")
-        twin_state, _ = _drive(twin, batches=3)
-        twin.ingest(twin_state, twin.validate_events(batch.tolist(), 8))
         np.testing.assert_array_equal(
             again.score_stream(probe),
-            twin.detector_for(twin_state, "stide", 5).score_stream(probe),
+            _cold_fit("stide", 5, [*chunks, batch]).score_stream(probe),
         )
 
     def test_foreign_model_arrays_are_invalidated(self, tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.detectors.registry import create_detector
+from repro.runtime.telemetry import Telemetry, activated
 from repro.serve import AdmissionPolicy, ScoringServer
 from repro.serve.loadgen import request
 
@@ -107,10 +108,54 @@ class TestTrainAndScore:
             detector.fit(np.asarray(training, dtype=np.int64))
             expected = detector.score_stream(np.asarray(test, dtype=np.int64))
             assert np.array_equal(np.asarray(body["scores"]), expected)
-            assert body["tier"] == "fused"
-            assert body["attempts"] == 1
+            assert set(body) == {
+                "tenant", "family", "window", "elapsed", "scores"
+            }
 
         run(_with_server(scenario))
+
+    def test_default_server_delta_updates_instead_of_refitting(self):
+        """A server built without ``models=`` keeps models current by
+        delta fits: train → score → train → score fits the cell once."""
+        chunks = [_events(11, 200), _events(12, 150)]
+        probe = _events(13, 90)
+
+        async def scenario(server):
+            host, port = "127.0.0.1", server.port
+            bodies = []
+            for chunk in chunks:
+                status, _ = await request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/tenants/delta/train",
+                    {"events": chunk, "alphabet_size": ALPHABET},
+                )
+                assert status == 200
+                status, body = await request(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/tenants/delta/score",
+                    {"family": "markov", "window": 4, "events": probe},
+                )
+                assert status == 200
+                bodies.append(body)
+            return bodies
+
+        collector = Telemetry()
+        with activated(collector):
+            bodies = run(_with_server(scenario))
+        counters = collector.metrics.snapshot()["counters"]
+        assert counters.get("serve.fit", 0) == 1
+        assert counters.get("serve.delta.update", 0) >= 1
+        for count, body in zip((1, 2), bodies):
+            reference = create_detector("markov", 4, ALPHABET)
+            reference.fit(np.concatenate(chunks[:count]).astype(np.int64))
+            np.testing.assert_array_equal(
+                np.asarray(body["scores"]),
+                reference.score_stream(np.asarray(probe, dtype=np.int64)),
+            )
 
     def test_unknown_tenant_404(self):
         async def scenario(server):

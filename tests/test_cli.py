@@ -182,6 +182,18 @@ class TestSuppressionCommand:
         assert "unknown program" in capsys.readouterr().err
 
 
+class TestServeCommand:
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_non_positive_task_timeout_fails_cleanly(
+        self, tmp_path, capsys, timeout
+    ):
+        exit_code = main(
+            ["serve", "--state-dir", str(tmp_path), "--task-timeout", timeout]
+        )
+        assert exit_code == 2
+        assert "task_timeout must be > 0" in capsys.readouterr().err
+
+
 class TestPlanCommand:
     def _quick_plan_file(self, tmp_path):
         import json
