@@ -74,22 +74,9 @@ def _jobs_argument(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker count for the sweep engine (1 = serial reference "
-        "path; results are identical either way)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process", "serial"),
-        default=None,
-        help="sweep backend (default: serial for --jobs 1, thread "
-        "otherwise); the process backend ships suites over "
-        "shared memory when available",
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable the shared-memory window transport; process "
-        "workers receive pickled suites instead",
+        help="worker count for the sweep engine (1 = serial; more runs "
+        "a process pool fed over shared memory; results are identical "
+        "either way)",
     )
 
 
@@ -155,13 +142,8 @@ def _telemetry(args: argparse.Namespace) -> "object | None":
     return Telemetry(profile_dir=profile)
 
 
-def _emit_telemetry(args: argparse.Namespace, engine: "object | None") -> None:
-    """Write/print the artifacts the observability flags asked for."""
-    _emit_collector(args, getattr(engine, "telemetry", None))
-
-
 def _emit_collector(args: argparse.Namespace, collector: "object | None") -> None:
-    """:func:`_emit_telemetry` for a collector held directly."""
+    """Write/print the artifacts the observability flags asked for."""
     if collector is None:
         return
     trace_path = getattr(args, "trace", None)
@@ -264,50 +246,34 @@ def _checkpoint_paths(
     return checkpoint, resume
 
 
-def _engine(args: argparse.Namespace) -> "object | None":
-    """A SweepEngine honoring ``--jobs`` and the resilience flags.
+def _engine(args: argparse.Namespace) -> "object":
+    """The SweepEngine every sweep subcommand runs on.
 
-    ``None`` (the serial reference path) when neither parallelism nor
-    resilience was requested.
+    ``--jobs`` sets the worker count (the engine picks serial or
+    process from it); ``--checkpoint``/``--resume`` without a retry
+    flag apply the default resilience policy, so the run reports its
+    blocks.
     """
-    jobs = getattr(args, "jobs", 1) or 1
-    executor = getattr(args, "executor", None)
-    store_dir = getattr(args, "store", None)
-    wants_resilience = (
-        getattr(args, "retries", None) is not None
-        or getattr(args, "task_timeout", None) is not None
-        or getattr(args, "checkpoint", None) is not None
-        or getattr(args, "resume", None) is not None
-    )
-    telemetry = _telemetry(args)
-    if (
-        jobs <= 1
-        and executor is None
-        and not wants_resilience
-        and store_dir is None
-        and telemetry is None
-    ):
-        return None
     from repro.runtime import ResiliencePolicy, SweepEngine
 
     resilience = ResiliencePolicy.from_args(args)
-    if resilience is None and wants_resilience:
+    if resilience is None and (
+        getattr(args, "checkpoint", None) is not None
+        or getattr(args, "resume", None) is not None
+    ):
         resilience = ResiliencePolicy()
-    if executor is None:
-        executor = "serial" if jobs <= 1 else "thread"
     store = None
+    store_dir = getattr(args, "store", None)
     if store_dir is not None:
         from repro.runtime.store import ArtifactStore
 
         store = ArtifactStore(store_dir, cap_bytes=getattr(args, "store_cap", None))
     return SweepEngine(
-        max_workers=jobs,
-        executor=executor,
+        max_workers=getattr(args, "jobs", 1) or 1,
         resilience=resilience,
-        use_shared_memory=not getattr(args, "no_shm", False),
         store=store,
         warm_start=False if getattr(args, "no_warm_start", False) else None,
-        telemetry=telemetry,
+        telemetry=_telemetry(args),
     )
 
 
@@ -363,7 +329,7 @@ def _cmd_maps(args: argparse.Namespace) -> int:
     print(result.summary())
     if result.run_report is not None:
         print(result.run_report.summary())
-    elif getattr(engine, "store", None) is not None:
+    elif engine.store is not None:
         stats = engine.last_fit_stats
         print(
             f"fits: {stats.computed} computed / {stats.from_store} from "
@@ -372,7 +338,7 @@ def _cmd_maps(args: argparse.Namespace) -> int:
     if len(detectors) >= 2:
         print()
         print(map_agreement_report(result.maps))
-    _emit_telemetry(args, engine)
+    _emit_collector(args, engine.telemetry)
     return 0
 
 
@@ -530,7 +496,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     if len(names) >= 2:
         print()
         print(map_agreement_report(maps))
-    _emit_telemetry(args, engine)
+    _emit_collector(args, engine.telemetry)
     return 0
 
 
@@ -602,7 +568,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     if advice.redundant:
         print(f"redundant: {', '.join(advice.redundant)}")
     print(f"rationale: {advice.rationale}")
-    _emit_telemetry(args, engine)
+    _emit_collector(args, engine.telemetry)
     return 0
 
 
@@ -769,19 +735,12 @@ def _cmd_plan_run(args: argparse.Namespace) -> int:
 
     plan = load_plan(args.plan)
     collector = _telemetry(args)
-    resilience = ResiliencePolicy.from_args(args)
-    if resilience is None and (
-        getattr(args, "retries", None) is not None
-        or getattr(args, "task_timeout", None) is not None
-    ):
-        resilience = ResiliencePolicy()
     runner = PlanRunner(
         plan,
         run_dir=args.run_dir,
         store=args.store,
         jobs=args.jobs,
-        executor=args.executor,
-        resilience=resilience,
+        resilience=ResiliencePolicy.from_args(args),
         telemetry=collector,
     )
     report = runner.run()
@@ -806,7 +765,6 @@ def _cmd_plan_worker(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         lease_ttl=args.lease_ttl,
         jobs=args.jobs,
-        executor=args.executor,
         telemetry=collector,
         crash_after_claims=args.crash_after_claims,
         max_seconds=args.max_seconds,
@@ -1126,13 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="engine workers inside each stage",
         )
-        sub.add_argument(
-            "--executor",
-            choices=("thread", "process", "serial"),
-            default=None,
-            help="engine backend (default: serial for --jobs 1, "
-            "thread otherwise)",
-        )
         _retry_arguments(sub)
         _telemetry_arguments(sub)
 
@@ -1183,12 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="engine workers inside this queue worker",
-    )
-    plan_worker.add_argument(
-        "--executor",
-        choices=("thread", "process", "serial"),
-        default=None,
-        help="engine backend for this worker's stages",
     )
     plan_worker.add_argument(
         "--max-seconds",

@@ -27,8 +27,8 @@ class ExperimentResult:
         suite: the corpus the maps were computed on.
         maps: one performance map per detector family, keyed by name.
         run_report: the sweep's :class:`~repro.runtime.resilience.RunReport`
-            when the experiment ran through a resilient engine sweep
-            (``None`` on the plain serial/fast paths).
+            when a resilience policy or a checkpoint was requested
+            (``None`` otherwise).
     """
 
     suite: EvaluationSuite
@@ -94,8 +94,8 @@ def run_paper_experiment(
             given).
         detectors: registered detector names to sweep.
         engine: a :class:`repro.runtime.SweepEngine`; all families are
-            swept concurrently through it (results are bit-identical
-            to the serial path).
+            swept through it (results are bit-identical to the
+            engine-less reference loop).
         max_workers: shorthand for ``engine=SweepEngine(max_workers=...)``
             when > 1 and no engine is given.
         checkpoint: JSONL checkpoint file completed cells stream to.
@@ -116,7 +116,8 @@ def run_paper_experiment(
 
     Returns:
         Maps for every requested detector over the full case grid,
-        with ``run_report`` populated when a resilient sweep ran.
+        with ``run_report`` populated when a resilience policy or a
+        checkpoint was requested.
     """
     if suite is None:
         suite = build_suite(params=params, training=training)

@@ -149,7 +149,6 @@ class Worker:
             considered abandoned.
         jobs: engine workers inside this process (the ResilientRunner
             ladder and WindowArena live *inside* each queue worker).
-        executor: engine backend for this worker's stages.
         telemetry: collector for ``plan.*`` spans and counters.
         crash_after_claims: fault injection — die with ``os._exit``
             immediately after the Nth successful claim, leaving the
@@ -164,7 +163,6 @@ class Worker:
         worker_id: str | None = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         jobs: int = 1,
-        executor: str | None = None,
         telemetry: "object | None" = None,
         crash_after_claims: int | None = None,
         max_seconds: float | None = None,
@@ -182,7 +180,6 @@ class Worker:
             self.plan,
             run_dir=self.run_dir,
             jobs=jobs,
-            executor=executor,
             telemetry=telemetry,
         )
         self._claims = 0

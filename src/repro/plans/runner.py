@@ -226,8 +226,7 @@ def _sweep_params(stage: Stage):
 def execute_stage(
     stage: Stage,
     results: dict[str, object],
-    engine: "object | None" = None,
-    store: "object | None" = None,
+    engine: "object",
     cells_dir: "Path | None" = None,
     checkpoint: "str | None" = None,
     resume_from: "str | None" = None,
@@ -238,10 +237,8 @@ def execute_stage(
         stage: the typed stage to execute.
         results: live results of already-executed stages, by name
             (``ensemble``/``render`` read their sweep dependency here).
-        engine: a shared :class:`~repro.runtime.SweepEngine`
-            (``None`` = the serial reference path).
-        store: an :class:`~repro.runtime.store.ArtifactStore` for the
-            serial path's fits (an engine carries its own).
+        engine: the shared :class:`~repro.runtime.SweepEngine`; it
+            carries the fit store.
         cells_dir: directory for the stage's JSONL cell checkpoints;
             ``None`` disables cell-level resume.
         checkpoint: explicit cell-checkpoint path overriding
@@ -260,7 +257,6 @@ def execute_stage(
             engine=engine,
             checkpoint=checkpoint,
             resume_from=resume_from,
-            store=store if engine is None else None,
         )
         return sweep_payload(result.maps), SweepOutput(
             maps=result.maps, suite=result.suite, run_report=result.run_report
@@ -279,7 +275,6 @@ def execute_stage(
             stream_length=stage.test_stream_len,
             engine=engine,
             checkpoint_dir=checkpoint_dir,
-            store=store if engine is None else None,
         )
         return robustness_payload(report), report
     upstream = results.get(stage.needs[0])
@@ -399,11 +394,10 @@ class PlanRunner:
             directory path; defaults to ``<run_dir>/store`` when a run
             directory is given, else no caching.
         engine: a pre-built :class:`~repro.runtime.SweepEngine`; when
-            omitted one is assembled from ``jobs``/``executor``/
-            ``resilience`` (serial reference path when all defaults).
-        jobs: engine worker count for the assembled engine.
-        executor: engine backend (default: serial for 1 job, thread
-            otherwise).
+            omitted one is assembled from ``jobs``/``resilience`` and
+            the store.
+        jobs: engine worker count for the assembled engine (1 runs
+            serially, more runs a process pool).
         resilience: a :class:`~repro.runtime.resilience.ResiliencePolicy`
             for the assembled engine.
         telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
@@ -419,7 +413,6 @@ class PlanRunner:
         store: "object | None" = None,
         engine: "object | None" = None,
         jobs: int = 1,
-        executor: str | None = None,
         resilience: "object | None" = None,
         telemetry: "object | None" = None,
         checkpoint: str | None = None,
@@ -437,25 +430,17 @@ class PlanRunner:
         self.telemetry = telemetry
         self._checkpoint = checkpoint
         self._resume_from = resume_from
-        if engine is None and (
-            jobs > 1
-            or executor is not None
-            or resilience is not None
-            or store is not None
-            or telemetry is not None
-        ):
+        if engine is None:
             from repro.runtime import SweepEngine
 
             engine = SweepEngine(
                 max_workers=jobs,
-                executor=executor or ("serial" if jobs <= 1 else "thread"),
                 resilience=resilience,
                 store=self.store,
                 telemetry=telemetry,
             )
-        elif engine is not None and telemetry is not None:
-            if getattr(engine, "_telemetry", None) is None:
-                engine.attach_telemetry(telemetry)
+        elif telemetry is not None and engine.telemetry is None:
+            engine.attach_telemetry(telemetry)
         self.engine = engine
 
     def _cells_dir(self) -> Path | None:
@@ -567,7 +552,6 @@ class PlanRunner:
                     stage,
                     results,
                     engine=self.engine,
-                    store=self.store,
                     cells_dir=self._cells_dir(),
                     checkpoint=self._checkpoint if stage.kind == "sweep" else None,
                     resume_from=self._resume_from if stage.kind == "sweep" else None,

@@ -12,18 +12,19 @@ production runtime for that sweep:
   every detector family's ``score_windows`` reduces to: one numpy pass
   per (stream, DW) batch instead of a per-window Python loop;
 * :class:`SweepEngine` — evaluates one or many families over the grid
-  concurrently (thread-, process-, or serial-backed) with
-  unique-window memoized scoring for the expensive detectors, while
-  producing maps bit-identical to the sequential path;
+  through one supervised scheduler (serial, or a process pool when
+  more than one worker is allowed) with unique-window memoized scoring
+  for the expensive detectors, while producing maps bit-identical to
+  the sequential path;
 * :class:`WindowArena` — zero-copy ``multiprocessing.shared_memory``
   transport: the suite's streams are materialized once, process
   workers attach by segment name, and sweep tasks ship only
-  (name, shape, dtype) descriptors instead of pickled arrays;
-* :mod:`~repro.runtime.resilience` — fault-tolerant execution on top
-  of the engine: retries with deterministic backoff, per-task
-  wall-clock timeouts, graceful backend degradation
-  (process -> thread -> serial), JSONL checkpoint/resume, and a
-  per-task :class:`RunReport`;
+  (name, shape, dtype) descriptors instead of pickled arrays (the
+  pickled suite remains the fallback where shared memory fails);
+* :mod:`~repro.runtime.resilience` — the scheduler every sweep runs
+  through: retries with deterministic backoff, per-task wall-clock
+  timeouts, graceful backend degradation (process -> serial), JSONL
+  checkpoint/resume, and a per-task :class:`RunReport`;
 * :mod:`~repro.runtime.faults` — the seeded fault-injection harness
   the test suite uses to prove every recovery path;
 * :mod:`~repro.runtime.telemetry` — zero-dependency tracing spans,
@@ -34,8 +35,8 @@ production runtime for that sweep:
 
 See the "Runtime & parallelism", "Batch kernels & zero-copy
 transport" and "Failure handling & resume" sections of DESIGN.md and
-the ``--jobs``/``--executor``/``--no-shm``/``--retries``/
-``--task-timeout``/``--checkpoint``/``--resume`` flags of the CLI.
+the ``--jobs``/``--retries``/``--task-timeout``/``--checkpoint``/
+``--resume`` flags of the CLI.
 
 Exports resolve lazily (PEP 562): detector modules import
 :mod:`repro.runtime.kernels` at module load, and an eager import of

@@ -5,7 +5,7 @@ detector family at every (anomaly size x window length) cell.  The
 serial path re-derives the same sliding windows for every family and
 re-scores the same repetitive test windows at every cell;
 :class:`SweepEngine` removes both redundancies and runs the remaining
-work concurrently:
+work through one supervised scheduler:
 
 * **work unit** — one (family, window length) block: a single fit on
   the training stream followed by one scoring pass per anomaly size
@@ -22,21 +22,26 @@ work concurrently:
   back.  The injected streams are highly repetitive, so this cuts the
   comparison work by an order of magnitude without changing a single
   response value;
+* **one scheduler** — every sweep runs its blocks through
+  :class:`~repro.runtime.resilience.ResilientRunner` (retries,
+  timeouts, checkpoints), on one of two backends: ``serial`` inline
+  execution, or a ``process`` pool when more than one worker is
+  allowed and every family is a registered name.  A broken pool
+  degrades to serial;
 * **zero-copy transport** — under the process backend the suite's
   streams are published once into a shared-memory
   :class:`~repro.runtime.arena.WindowArena` and workers attach by
   segment name, so task payloads carry (name, shape, dtype)
   descriptors instead of pickled arrays.  Where shared memory is
-  unavailable the sweep degrades to the pickle transport, and the
-  resilient scheduler's last rung is serial in-process execution:
-  ``shm -> pickle -> serial``.
+  unavailable or publishing fails, the tasks carry the pickled suite
+  instead.
 
 Every cell is computed by the same deterministic, side-effect-free
 rule as the serial loop in
 :func:`repro.evaluation.performance_map.build_performance_map`, and
 cells are assembled into the map by grid position rather than
 completion order — the resulting maps are bit-identical to the
-sequential path regardless of worker count or executor backend
+sequential path regardless of worker count or backend
 (``benchmarks/bench_sweep.py`` verifies this cell for cell).
 """
 
@@ -45,7 +50,6 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -95,7 +99,7 @@ MEMOIZED_FAMILIES: frozenset[str] = frozenset(
 )
 
 #: Executor backends accepted by :class:`SweepEngine`.
-EXECUTORS: tuple[str, ...] = ("thread", "process", "serial")
+EXECUTORS: tuple[str, ...] = ("process", "serial")
 
 
 def evaluate_window_block(
@@ -223,28 +227,31 @@ def _worker_suite(
     return suite, WindowCache(), None
 
 
-def _process_window_block(
+def _process_resilient_block(
     name: str,
     window_length: int,
     suite: EvaluationSuite | SharedSuite,
     detector_kwargs: dict[str, object],
     memoize: bool,
-    store_spec: tuple[str, int | None] | None = None,
-    warm_policy: WarmStartPolicy | None = None,
-    telemetry_spec: TelemetryConfig | None = None,
-) -> tuple[
-    str, int, list[CellResult], CacheStats, FitRecord | None, dict | None
-]:
+    schedule: FaultSchedule | None,
+    store_spec: tuple[str, int | None] | None,
+    warm_policy: WarmStartPolicy | None,
+    telemetry_spec: TelemetryConfig | None,
+    attempt: int,
+) -> tuple[list[CellResult], CacheStats, FitRecord | None, dict | None]:
     """Process-pool entry point: one (family, window) block.
 
-    The worker's cache counters (for zero-copy tasks: this task's
-    counter *delta* against the worker-global cache), the block's
-    :class:`FitRecord` and the task's telemetry snapshot ride back
-    with the results so the parent can fold them into the engine
+    The attempt number and the (test-only) fault schedule are threaded
+    through, so injected faults fire deterministically inside the
+    worker.  The worker's cache counters (for zero-copy tasks: this
+    task's counter *delta* against the worker-global cache), the
+    block's :class:`FitRecord` and the task's telemetry snapshot ride
+    back with the results so the parent can fold them into the engine
     cache's statistics, the sweep's fit ledger and the sweep's
     telemetry (see :meth:`WindowCache.merge_counts` and
     :meth:`~repro.runtime.telemetry.Telemetry.merge_snapshot`).
     """
+    corrupt = apply_fault(schedule, f"{name}:{window_length}", attempt)
     task_telemetry = Telemetry.from_spec(telemetry_spec)
     if task_telemetry is not None and task_telemetry.profile_dir is not None:
         ensure_worker_profiler(task_telemetry.profile_dir)
@@ -272,41 +279,9 @@ def _process_window_block(
     snapshot = (
         task_telemetry.snapshot() if task_telemetry is not None else None
     )
-    return name, window_length, cells, stats, detector.last_fit_report, snapshot
-
-
-def _process_resilient_block(
-    name: str,
-    window_length: int,
-    suite: EvaluationSuite | SharedSuite,
-    detector_kwargs: dict[str, object],
-    memoize: bool,
-    schedule: FaultSchedule | None,
-    store_spec: tuple[str, int | None] | None,
-    warm_policy: WarmStartPolicy | None,
-    telemetry_spec: TelemetryConfig | None,
-    attempt: int,
-) -> tuple[list[CellResult], CacheStats, FitRecord | None, dict | None]:
-    """Process-pool entry point for the resilient scheduler.
-
-    Identical to :func:`_process_window_block` except that the attempt
-    number and the (test-only) fault schedule are threaded through, so
-    injected faults fire deterministically inside the worker.
-    """
-    corrupt = apply_fault(schedule, f"{name}:{window_length}", attempt)
-    _name, _window_length, cells, stats, record, snapshot = _process_window_block(
-        name,
-        window_length,
-        suite,
-        detector_kwargs,
-        memoize,
-        store_spec,
-        warm_policy,
-        telemetry_spec,
-    )
     if corrupt:
         cells = corrupt_block(cells)
-    return cells, stats, record, snapshot
+    return cells, stats, detector.last_fit_report, snapshot
 
 
 class SweepEngine:
@@ -315,29 +290,20 @@ class SweepEngine:
     Args:
         max_workers: concurrent (family, window) blocks; defaults to
             the CPU count.
-        executor: ``"thread"`` (default — NumPy kernels release the
-            GIL, and the window cache is shared across workers),
-            ``"process"`` (isolated workers; registered detector names
-            only, each worker builds its own cache), or ``"serial"``
-            (inline execution in deterministic submission order, for
-            debugging and as the reference path).
+        executor: an explicit backend override, ``"process"`` or
+            ``"serial"``.  ``None`` (the default) picks per sweep:
+            ``serial`` at one worker, ``process`` above that when every
+            family is a registered name, and ``serial`` for factory
+            specs (they cannot be pickled into a worker).  An explicit
+            ``"process"`` rejects factory specs.
         memoized_detectors: family names scored via unique-window
             memoization; defaults to :data:`MEMOIZED_FAMILIES`.
         window_cache: a pre-populated cache to share; a fresh one is
             created when omitted.
-        resilience: a :class:`~repro.runtime.resilience.ResiliencePolicy`
-            enabling fault-tolerant execution (retries with backoff,
-            per-task timeouts, backend degradation).  ``None`` keeps
-            the zero-overhead fast paths; ``sweep_with_report`` and
-            checkpointed sweeps always run resiliently, applying a
-            default policy when none is configured.
-        use_shared_memory: ship suites to process-backend workers as
-            zero-copy shared-memory descriptors (see
-            :mod:`repro.runtime.arena`) instead of pickled arrays.
-            Ignored by the thread/serial backends, which share arrays
-            in-process already.  When shared memory is unavailable or
-            publishing fails, the sweep silently degrades to the
-            pickle transport — the ``shm -> pickle -> serial`` ladder.
+        resilience: the :class:`~repro.runtime.resilience.ResiliencePolicy`
+            (retries with backoff, per-task timeouts, backend
+            degradation) every sweep runs under; ``None`` applies the
+            default policy.
         store: a persistent :class:`~repro.runtime.store.ArtifactStore`
             (or its directory path) backing every fit of every sweep:
             fits are looked up by content address before any training
@@ -372,17 +338,16 @@ class SweepEngine:
     def __init__(
         self,
         max_workers: int | None = None,
-        executor: str = "thread",
+        executor: str | None = None,
         memoized_detectors: Iterable[str] = MEMOIZED_FAMILIES,
         window_cache: WindowCache | None = None,
         resilience: ResiliencePolicy | None = None,
-        use_shared_memory: bool = True,
         store: ArtifactStore | str | Path | None = None,
         warm_start: bool | None = None,
         warm_policy: WarmStartPolicy | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if executor not in EXECUTORS:
+        if executor is not None and executor not in EXECUTORS:
             raise EvaluationError(
                 f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
             )
@@ -393,7 +358,6 @@ class SweepEngine:
         self._memoized = frozenset(memoized_detectors)
         self._cache = window_cache if window_cache is not None else WindowCache()
         self._resilience = resilience
-        self._use_shm = bool(use_shared_memory)
         self._store = (
             ArtifactStore(store) if isinstance(store, (str, Path)) else store
         )
@@ -411,23 +375,20 @@ class SweepEngine:
 
     @property
     def executor(self) -> str:
-        """The configured executor backend."""
-        return self._executor
+        """The backend a sweep of registered names runs on."""
+        if self._executor is not None:
+            return self._executor
+        return "serial" if self._max_workers == 1 else "process"
 
     @property
     def window_cache(self) -> WindowCache:
-        """The cache shared by thread/serial sweeps."""
+        """The cache shared by the blocks that run in this process."""
         return self._cache
 
     @property
     def resilience(self) -> ResiliencePolicy | None:
-        """The configured resilience policy (``None`` = fast paths)."""
+        """The configured resilience policy (``None`` = the default)."""
         return self._resilience
-
-    @property
-    def use_shared_memory(self) -> bool:
-        """Whether process sweeps attempt the zero-copy transport."""
-        return self._use_shm
 
     @property
     def store(self) -> ArtifactStore | None:
@@ -454,7 +415,7 @@ class SweepEngine:
         self._telemetry = collector
 
     @contextmanager
-    def _instrumented(self, kind: str) -> Iterator[None]:
+    def _instrumented(self, backend: str) -> Iterator[None]:
         """Activate the engine's telemetry around one sweep.
 
         Opens the root ``sweep`` span, and on the way out — success or
@@ -473,8 +434,8 @@ class SweepEngine:
         try:
             with telemetry.activated(collector), collector.tracer.span(
                 "sweep",
-                kind,
-                executor=self._executor,
+                "sweep",
+                executor=backend,
                 max_workers=self._max_workers,
             ):
                 try:
@@ -515,11 +476,11 @@ class SweepEngine:
     ) -> list[tuple[str, str | None, DetectorFactory]]:
         """Normalize detector specs to (name, registry name, factory).
 
-        Every spec-level validation error — including the process
-        backend's registered-names-only restriction — is raised here,
-        before any factory is invoked or any stream is packed into the
-        window cache: a misconfigured sweep must fail fast, not after
-        wasted derivations.
+        Every spec-level validation error — including an explicit
+        process backend's registered-names-only restriction — is
+        raised here, before any factory is invoked or any stream is
+        packed into the window cache: a misconfigured sweep must fail
+        fast, not after wasted derivations.
         """
         specs = list(detectors)
         if self._executor == "process":
@@ -554,6 +515,18 @@ class SweepEngine:
             )
         return resolved
 
+    def _backend(
+        self, resolved: list[tuple[str, str | None, DetectorFactory]]
+    ) -> str:
+        """The backend one sweep runs on (see the ``executor`` argument)."""
+        if self._executor is not None:
+            return self._executor
+        if self._max_workers > 1 and all(
+            registry is not None for _name, registry, _factory in resolved
+        ):
+            return "process"
+        return "serial"
+
     def sweep(
         self,
         detectors: Iterable[str | DetectorFactory],
@@ -568,12 +541,10 @@ class SweepEngine:
             detectors: registered names and/or window-length factories.
             suite: the evaluation corpus.
             checkpoint: JSONL file to stream completed cells to (see
-                :func:`repro.io.checkpoint_append`); forces the
-                resilient path.
+                :func:`repro.io.checkpoint_append`).
             resume_from: a checkpoint file whose completed cells are
-                loaded instead of recomputed; forces the resilient
-                path.  The resumed maps are bit-identical to an
-                uninterrupted run.
+                loaded instead of recomputed.  The resumed maps are
+                bit-identical to an uninterrupted run.
             **detector_kwargs: forwarded to the registry for name
                 specs (ignored for factories).
 
@@ -582,47 +553,18 @@ class SweepEngine:
             order; bit-identical to the serial
             :func:`~repro.evaluation.performance_map.build_performance_map`
             output.
+
+        Raises:
+            SweepAbortedError: see :meth:`sweep_with_report`.
         """
-        if (
-            self._resilience is not None
-            or checkpoint is not None
-            or resume_from is not None
-        ):
-            maps, _report = self.sweep_with_report(
-                detectors,
-                suite,
-                checkpoint=checkpoint,
-                resume_from=resume_from,
-                **detector_kwargs,
-            )
-            return maps
-        resolved = self._resolve(detectors, suite, dict(detector_kwargs))
-        self._ledger = FitLedger()
-        cells: dict[str, dict[Cell, CellResult]] = {
-            name: {} for name, _registry, _factory in resolved
-        }
-        blocks = [
-            (name, registry_name, factory, window_length)
-            for name, registry_name, factory in resolved
-            for window_length in suite.window_lengths
-        ]
-        with self._instrumented("sweep"):
-            if self._executor == "process":
-                self._sweep_processes(cells, blocks, suite, dict(detector_kwargs))
-            elif self._executor == "serial" or self._max_workers == 1:
-                for name, _registry_name, factory, window_length in blocks:
-                    self._collect(
-                        cells,
-                        name,
-                        self._run_block(factory, window_length, suite, name),
-                    )
-            else:
-                self._sweep_threads(cells, blocks, suite)
-        self._last_fit_stats = self._ledger.snapshot()
-        return {
-            name: PerformanceMap(detector_name=name, cells=cells[name])
-            for name, _registry_name, _factory in resolved
-        }
+        maps, _report = self.sweep_with_report(
+            detectors,
+            suite,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            **detector_kwargs,
+        )
+        return maps
 
     def sweep_with_report(
         self,
@@ -632,11 +574,11 @@ class SweepEngine:
         resume_from: str | Path | None = None,
         **detector_kwargs: object,
     ) -> tuple[dict[str, PerformanceMap], RunReport]:
-        """Resilient sweep: maps plus a per-task :class:`RunReport`.
+        """:meth:`sweep` plus its per-task :class:`RunReport`.
 
-        Always runs through the fault-tolerant scheduler (applying a
-        default :class:`ResiliencePolicy` when the engine was built
-        without one), streaming completed cells to ``checkpoint`` and
+        Runs through the fault-tolerant scheduler under the engine's
+        :class:`ResiliencePolicy` (the default one when none was
+        configured), streaming completed cells to ``checkpoint`` and
         skipping cells already present in ``resume_from``.
 
         Raises:
@@ -644,10 +586,83 @@ class SweepEngine:
                 its retry budget; the partial report rides on the
                 exception and the checkpoint keeps every finished cell.
         """
-        resolved = self._resolve(detectors, suite, dict(detector_kwargs))
-        return self._sweep_resilient(
-            resolved, suite, dict(detector_kwargs), checkpoint, resume_from
+        from repro.io import checkpoint_append
+
+        detector_kwargs = dict(detector_kwargs)
+        resolved = self._resolve(detectors, suite, detector_kwargs)
+        policy = self._resilience if self._resilience is not None else ResiliencePolicy()
+        schedule = policy.fault_schedule
+        if schedule is not None and not isinstance(schedule, FaultSchedule):
+            raise EvaluationError(
+                f"fault_schedule must be a FaultSchedule, got {type(schedule).__name__}"
+            )
+        names = [name for name, _registry, _factory in resolved]
+        self._ledger = FitLedger()
+        cells: dict[str, dict[Cell, CellResult]] = {name: {} for name in names}
+        skip: set[tuple[str, int]] = set()
+        resumed_reports: list[TaskReport] = []
+        cells_resumed = 0
+        if resume_from is not None:
+            skip, resumed_reports, cells_resumed = self._load_resume(
+                resume_from, names, suite, cells
+            )
+        backend = self._backend(resolved)
+        aborted: SweepAbortedError | None = None
+        with self._instrumented(backend):
+            payload_suite, arena = (
+                self._share_suite(suite)
+                if backend == "process"
+                else (suite, None)
+            )
+            tasks = self._block_tasks(
+                resolved, suite, detector_kwargs, skip, schedule, payload_suite
+            )
+
+            def on_result(task: SweepTask, result: object) -> None:
+                results, stats, record, snapshot = result  # type: ignore[misc]
+                if stats is not None:
+                    self._cache.merge_counts(stats.hits, stats.misses)
+                if record is not None and self._ledger is not None:
+                    self._ledger.record(record, task.key)
+                if snapshot is not None and self._telemetry is not None:
+                    self._telemetry.merge_snapshot(snapshot)
+                self._collect(cells, task.name, results)
+                if checkpoint is not None:
+                    checkpoint_append(checkpoint, task.name, results)
+
+            runner = ResilientRunner(
+                policy, backend=backend, max_workers=self._max_workers
+            )
+            started = time.perf_counter()
+            try:
+                runner.run(tasks, on_result)
+            except SweepAbortedError as error:
+                aborted = error
+            finally:
+                elapsed = time.perf_counter() - started
+                # Unlink the arena whether the sweep finished, aborted,
+                # or was killed by a worker timeout: segments must never
+                # outlive the sweep that published them.
+                self._teardown_arena(arena, suite if arena is not None else None)
+        # The report (and its telemetry snapshot) is built after the
+        # instrumentation context closes so the end-of-sweep summary
+        # counters are part of it.
+        report = self._run_report(
+            runner,
+            backend,
+            resumed_reports,
+            cells,
+            cells_resumed,
+            elapsed,
+            checkpoint,
         )
+        if aborted is not None:
+            raise SweepAbortedError(str(aborted), report) from aborted.__cause__
+        maps = {
+            name: PerformanceMap(detector_name=name, cells=cells[name])
+            for name in names
+        }
+        return maps, report
 
     def build_map(
         self,
@@ -668,24 +683,6 @@ class SweepEngine:
         )
         return next(iter(maps.values()))
 
-    def build_map_with_report(
-        self,
-        detector: str | DetectorFactory,
-        suite: EvaluationSuite,
-        checkpoint: str | Path | None = None,
-        resume_from: str | Path | None = None,
-        **detector_kwargs: object,
-    ) -> tuple[PerformanceMap, RunReport]:
-        """Single-family :meth:`sweep_with_report`."""
-        maps, report = self.sweep_with_report(
-            [detector],
-            suite,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            **detector_kwargs,
-        )
-        return next(iter(maps.values())), report
-
     # -- zero-copy transport ----------------------------------------------------
 
     def _share_suite(
@@ -695,9 +692,9 @@ class SweepEngine:
 
         Returns ``(transport, arena)``: the descriptor-only
         :class:`SharedSuite` plus its owning arena, or
-        ``(suite, None)`` when shared memory is disabled, unavailable
-        on the platform, or publishing fails mid-way — the pickle rung
-        of the degradation ladder.  On success the arena is bound to
+        ``(suite, None)`` when shared memory is unavailable on the
+        platform or publishing fails mid-way: the tasks then carry the
+        pickled suite.  On success the arena is bound to
         the engine cache so evicting a stream releases its segment.
 
         The transport carries the training stream's *derived* tables
@@ -706,7 +703,7 @@ class SweepEngine:
         incremental training index and seeded zero-copy into each
         worker's cache on restore.
         """
-        if not self._use_shm or not WindowArena.available():
+        if not WindowArena.available():
             return suite, None
         arena = WindowArena()
         try:
@@ -744,7 +741,7 @@ class SweepEngine:
             for anomaly_size in suite.anomaly_sizes:
                 self._cache.release_stream(suite.stream(anomaly_size).stream)
 
-    # -- backends ---------------------------------------------------------------
+    # -- blocks -----------------------------------------------------------------
 
     def _run_block(
         self,
@@ -779,56 +776,6 @@ class SweepEngine:
     ) -> None:
         for result in results:
             cells[name][(result.anomaly_size, result.window_length)] = result
-
-    def _sweep_threads(self, cells, blocks, suite) -> None:
-        with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-            futures = {
-                pool.submit(
-                    self._run_block, factory, window_length, suite, name
-                ): name
-                for name, _registry_name, factory, window_length in blocks
-            }
-            # Collect in submission order; cells are keyed by grid
-            # position, so completion order cannot affect the maps.
-            for future in futures:
-                self._collect(cells, futures[future], future.result())
-
-    def _sweep_processes(self, cells, blocks, suite, detector_kwargs) -> None:
-        # Factory specs were already rejected by _resolve (fail fast).
-        transport, arena = self._share_suite(suite)
-        try:
-            store_spec = self._store.spec() if self._store is not None else None
-            telemetry_spec = (
-                self._telemetry.spec() if self._telemetry is not None else None
-            )
-            with ProcessPoolExecutor(max_workers=self._max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        _process_window_block,
-                        registry_name,
-                        window_length,
-                        transport,
-                        detector_kwargs,
-                        registry_name in self._memoized,
-                        store_spec,
-                        self._warm_policy,
-                        telemetry_spec,
-                    )
-                    for _name, registry_name, _factory, window_length in blocks
-                ]
-                for future in futures:
-                    name, window_length, results, stats, record, snapshot = (
-                        future.result()
-                    )
-                    self._cache.merge_counts(stats.hits, stats.misses)
-                    if self._ledger is not None:
-                        self._ledger.record(record, f"{name}:{window_length}")
-                    if self._telemetry is not None:
-                        self._telemetry.merge_snapshot(snapshot)
-                    self._collect(cells, name, results)
-        finally:
-            self._teardown_arena(arena, suite if arena is not None else None)
-
     # -- resilient execution ----------------------------------------------
 
     def _block_tasks(
@@ -847,7 +794,7 @@ class SweepEngine:
         :class:`SharedSuite` descriptor under the process backend with
         an arena, the plain suite otherwise.  The in-process ``run``
         closure always uses the real ``suite``; a backend degradation
-        to threads therefore never depends on the arena.
+        to serial therefore never depends on the arena.
         """
         expected = len(suite.anomaly_sizes)
         tasks = []
@@ -982,86 +929,10 @@ class SweepEngine:
             }
         return skip, resumed_reports, cells_resumed
 
-    def _sweep_resilient(
-        self,
-        resolved: list[tuple[str, str | None, DetectorFactory]],
-        suite: EvaluationSuite,
-        detector_kwargs: dict[str, object],
-        checkpoint: str | Path | None,
-        resume_from: str | Path | None,
-    ) -> tuple[dict[str, PerformanceMap], RunReport]:
-        from repro.io import checkpoint_append
-
-        policy = self._resilience if self._resilience is not None else ResiliencePolicy()
-        schedule = policy.fault_schedule
-        if schedule is not None and not isinstance(schedule, FaultSchedule):
-            raise EvaluationError(
-                f"fault_schedule must be a FaultSchedule, got {type(schedule).__name__}"
-            )
-        names = [name for name, _registry, _factory in resolved]
-        self._ledger = FitLedger()
-        cells: dict[str, dict[Cell, CellResult]] = {name: {} for name in names}
-        skip: set[tuple[str, int]] = set()
-        resumed_reports: list[TaskReport] = []
-        cells_resumed = 0
-        if resume_from is not None:
-            skip, resumed_reports, cells_resumed = self._load_resume(
-                resume_from, names, suite, cells
-            )
-        aborted: SweepAbortedError | None = None
-        with self._instrumented("resilient"):
-            payload_suite, arena = (
-                self._share_suite(suite)
-                if self._executor == "process"
-                else (suite, None)
-            )
-            tasks = self._block_tasks(
-                resolved, suite, detector_kwargs, skip, schedule, payload_suite
-            )
-
-            def on_result(task: SweepTask, result: object) -> None:
-                results, stats, record, snapshot = result  # type: ignore[misc]
-                if stats is not None:
-                    self._cache.merge_counts(stats.hits, stats.misses)
-                if record is not None and self._ledger is not None:
-                    self._ledger.record(record, task.key)
-                if snapshot is not None and self._telemetry is not None:
-                    self._telemetry.merge_snapshot(snapshot)
-                self._collect(cells, task.name, results)
-                if checkpoint is not None:
-                    checkpoint_append(checkpoint, task.name, results)
-
-            runner = ResilientRunner(
-                policy, backend=self._executor, max_workers=self._max_workers
-            )
-            started = time.perf_counter()
-            try:
-                runner.run(tasks, on_result)
-            except SweepAbortedError as error:
-                aborted = error
-            finally:
-                elapsed = time.perf_counter() - started
-                # Unlink the arena whether the sweep finished, aborted,
-                # or was killed by a worker timeout: segments must never
-                # outlive the sweep that published them.
-                self._teardown_arena(arena, suite if arena is not None else None)
-        # The report (and its telemetry snapshot) is built after the
-        # instrumentation context closes so the end-of-sweep summary
-        # counters are part of it.
-        report = self._run_report(
-            runner, resumed_reports, cells, cells_resumed, elapsed, checkpoint
-        )
-        if aborted is not None:
-            raise SweepAbortedError(str(aborted), report) from aborted.__cause__
-        maps = {
-            name: PerformanceMap(detector_name=name, cells=cells[name])
-            for name in names
-        }
-        return maps, report
-
     def _run_report(
         self,
         runner: ResilientRunner,
+        backend: str,
         resumed_reports: list[TaskReport],
         cells: dict[str, dict[Cell, CellResult]],
         cells_resumed: int,
@@ -1074,7 +945,7 @@ class SweepEngine:
         )
         self._last_fit_stats = fit_stats
         return RunReport(
-            requested_backend=self._executor,
+            requested_backend=backend,
             final_backend=runner.final_backend,
             degradations=runner.degradations,
             tasks=tuple(resumed_reports) + runner.task_reports(),

@@ -1,10 +1,11 @@
 """Fault-tolerant sweep execution: retries, timeouts, degradation.
 
-PR 1's :class:`~repro.runtime.engine.SweepEngine` made performance-map
-construction fast; this module makes it survive the failures that
-production-scale sweeps (atlas runs, robustness replications) actually
-hit.  One crashed worker, one wedged task, or one broken process pool
-no longer discards every finished cell:
+:class:`ResilientRunner` is the one scheduler every
+:class:`~repro.runtime.engine.SweepEngine` sweep runs through; it makes
+the sweep survive the failures that production-scale sweeps (atlas
+runs, robustness replications) actually hit.  One crashed worker, one
+wedged task, or one broken process pool no longer discards every
+finished cell:
 
 * **retry with backoff** — a task that raises a
   :class:`~repro.exceptions.TransientTaskError` is re-attempted under a
@@ -15,11 +16,11 @@ no longer discards every finished cell:
   ``ResiliencePolicy.task_timeout`` is charged a
   :class:`~repro.exceptions.TaskTimeoutError` and retried.  On the
   process backend the hung worker is terminated (real cancellation);
-  on the thread/serial backends the attempt is abandoned and a fresh
-  pool/thread takes over;
-* **graceful degradation** — a broken backend falls down the chain
-  ``process -> thread -> serial``, resubmitting every unfinished task,
-  so a sweep completes (slower) instead of dying with the pool;
+  on the serial backend the attempt runs on a watchdog thread that is
+  abandoned on overrun;
+* **graceful degradation** — a broken process pool falls back to
+  ``serial``, resubmitting every unfinished task, so a sweep completes
+  (slower) instead of dying with the pool;
 * **failure taxonomy** — only :class:`TransientTaskError` (and its
   timeout subclass) is retried; anything else is fatal and raises
   :class:`~repro.exceptions.SweepAbortedError` *after* the completed
@@ -36,16 +37,12 @@ fault-injection harness of :mod:`repro.runtime.faults`.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import (
     wait as futures_wait,
 )
@@ -61,7 +58,7 @@ from repro.exceptions import (
 from repro.runtime import telemetry
 
 #: Backend degradation chain: who takes over when a pool breaks.
-DEGRADATION_CHAIN: dict[str, str] = {"process": "thread", "thread": "serial"}
+DEGRADATION_CHAIN: dict[str, str] = {"process": "serial"}
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,8 @@ class ResiliencePolicy:
                 ``task_timeout`` attributes are read when present.
 
         Returns:
-            ``None`` when neither flag was provided — callers keep
-            their no-resilience fast path.
+            ``None`` when neither flag was provided — the engine then
+            applies the default policy.
         """
         retries = getattr(args, "retries", None)
         task_timeout = getattr(args, "task_timeout", None)
@@ -180,7 +177,7 @@ class SweepTask:
             basis of deterministic jitter and fault schedules.
         name: detector family.
         window_length: the block's detector window.
-        run: in-process attempt body (serial/thread backends, and the
+        run: in-process attempt body (the serial backend, and the
             degradation target for process tasks); maps an attempt
             number to the block result.
         process_payload: ``(fn, args)`` with ``fn`` picklable and
@@ -221,10 +218,10 @@ class RunReport:
     """What a resilient sweep did, task by task.
 
     Attributes:
-        requested_backend: the executor the engine was configured with.
+        requested_backend: the backend the sweep started on.
         final_backend: the executor that finished the sweep (differs
             from ``requested_backend`` only after degradation).
-        degradations: human-readable ``"process->thread: ..."`` events.
+        degradations: human-readable ``"process->serial: ..."`` events.
         tasks: one :class:`TaskReport` per (family, window) block,
             including blocks skipped via ``resume_from``.
         cells_completed: grid cells computed by this run.
@@ -318,6 +315,23 @@ class RunReport:
         )
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once the sweeping process is gone.
+
+    A SIGKILLed sweep runs no cleanup.  Its pool workers would live on
+    as orphans, and because they inherited the resource tracker's pipe
+    the tracker would never unlink the shared-memory segments the sweep
+    published.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 class _BackendBroken(Exception):
     """Internal: the current executor backend can no longer run tasks."""
 
@@ -347,9 +361,9 @@ class ResilientRunner:
 
     Args:
         policy: the resilience configuration.
-        backend: initial executor backend (``"thread"``, ``"process"``
-            or ``"serial"``).
-        max_workers: pool width for the pooled backends.
+        backend: initial executor backend (``"process"`` or
+            ``"serial"``).
+        max_workers: process pool width.
         clock: monotonic time source (injectable for tests).
         sleep: sleep function (injectable for tests).
     """
@@ -432,7 +446,7 @@ class ResilientRunner:
                 if backend == "serial":
                     self._run_serial(pending, on_result)
                 else:
-                    self._run_pooled(pending, on_result, backend)
+                    self._run_processes(pending, on_result)
                 return
             except _BackendBroken as broken:
                 fallback = DEGRADATION_CHAIN.get(backend)
@@ -559,13 +573,13 @@ class ResilientRunner:
                 self._finalize_success(state, attempt, result, on_result)
                 break
 
-    # -- pooled backends ---------------------------------------------------
+    # -- process backend ---------------------------------------------------
 
-    def _new_pool(self, backend: str, pools: list[object]):
-        pool = (
-            ProcessPoolExecutor(max_workers=self._max_workers)
-            if backend == "process"
-            else ThreadPoolExecutor(max_workers=self._max_workers)
+    def _new_pool(self, pools: list[ProcessPoolExecutor]) -> ProcessPoolExecutor:
+        pool = ProcessPoolExecutor(
+            max_workers=self._max_workers,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
         )
         pools.append(pool)
         return pool
@@ -579,32 +593,28 @@ class ResilientRunner:
             process.terminate()
 
     def _submit(
-        self, pool, backend: str, state: _TaskState, attempt: int
+        self, pool: ProcessPoolExecutor, state: _TaskState, attempt: int
     ) -> Future:
         if state.started is None:
             state.started = self._clock()
-        task = state.task
+        fn, args = state.task.process_payload  # type: ignore[misc]
         try:
-            if backend == "process":
-                fn, args = task.process_payload  # type: ignore[misc]
-                return pool.submit(fn, *args, attempt)
-            return pool.submit(task.run, attempt)
+            return pool.submit(fn, *args, attempt)
         except (BrokenProcessPool, RuntimeError) as error:
-            raise _BackendBroken(f"{backend} pool rejected work: {error}") from error
+            raise _BackendBroken(f"process pool rejected work: {error}") from error
 
-    def _run_pooled(
+    def _run_processes(
         self,
         pending: list[_TaskState],
         on_result: Callable[[SweepTask, object], None],
-        backend: str,
     ) -> None:
         timeout = self._policy.task_timeout
         ready: list[tuple[_TaskState, int, float]] = [
             (state, state.attempts + 1, 0.0) for state in pending
         ]
         inflight: dict[Future, tuple[_TaskState, int, float | None]] = {}
-        pools: list[object] = []
-        pool = self._new_pool(backend, pools)
+        pools: list[ProcessPoolExecutor] = []
+        pool = self._new_pool(pools)
 
         def requeue(state: _TaskState, attempt: int, not_before: float) -> None:
             # Closes over the *variable* ready, so rebinds below are seen.
@@ -616,7 +626,7 @@ class ResilientRunner:
                 due = [entry for entry in ready if entry[2] <= now]
                 ready = [entry for entry in ready if entry[2] > now]
                 for state, attempt, _not_before in due:
-                    future = self._submit(pool, backend, state, attempt)
+                    future = self._submit(pool, state, attempt)
                     deadline = now + timeout if timeout is not None else None
                     inflight[future] = (state, attempt, deadline)
                 if not inflight:
@@ -636,9 +646,7 @@ class ResilientRunner:
                 )
                 for future in done:
                     state, attempt, _deadline = inflight.pop(future)
-                    self._handle_future(
-                        future, state, attempt, requeue, on_result, backend
-                    )
+                    self._handle_future(future, state, attempt, requeue, on_result)
 
                 if timeout is None:
                     continue
@@ -653,25 +661,18 @@ class ResilientRunner:
                         continue  # resubmitted as a pool-restart victim
                     state, attempt, _deadline = inflight.pop(future)
                     future.cancel()
-                    if backend == "process":
-                        # Cancellation is real here: the hung worker is
-                        # terminated.  Co-inflight tasks die with the
-                        # pool, so resubmit them at the same attempt
-                        # (they are victims, not failures).
-                        victims = list(inflight.values())
-                        inflight.clear()
-                        self._terminate_pool(pool)
-                        pool = self._new_pool(backend, pools)
-                        ready.extend(
-                            (vstate, vattempt, 0.0)
-                            for vstate, vattempt, _vdeadline in victims
-                        )
-                    elif backend == "thread":
-                        # The hung thread cannot be killed; abandon it
-                        # and route new work through a fresh pool so a
-                        # narrow pool cannot be starved by zombies.
-                        pool.shutdown(wait=False)
-                        pool = self._new_pool(backend, pools)
+                    # Cancellation is real here: the hung worker is
+                    # terminated.  Co-inflight tasks die with the pool,
+                    # so resubmit them at the same attempt (they are
+                    # victims, not failures).
+                    victims = list(inflight.values())
+                    inflight.clear()
+                    self._terminate_pool(pool)
+                    pool = self._new_pool(pools)
+                    ready.extend(
+                        (vstate, vattempt, 0.0)
+                        for vstate, vattempt, _vdeadline in victims
+                    )
                     error = TaskTimeoutError(
                         f"block {state.task.key} attempt {attempt} exceeded "
                         f"its {timeout:.3g}s wall-clock budget"
@@ -688,7 +689,6 @@ class ResilientRunner:
         attempt: int,
         requeue: Callable[[_TaskState, int, float], None],
         on_result: Callable[[SweepTask, object], None],
-        backend: str,
     ) -> None:
         try:
             result = future.result()
@@ -697,7 +697,7 @@ class ResilientRunner:
         except BrokenProcessPool as error:
             # The whole pool is gone; every inflight task is a victim.
             # run() degrades the backend and resubmits the unfinished.
-            raise _BackendBroken(f"{backend} pool broke: {error}") from error
+            raise _BackendBroken(f"process pool broke: {error}") from error
         except TransientTaskError as error:
             self._retry_or_abort(state, attempt, error, requeue)
         except Exception as error:

@@ -235,7 +235,13 @@ class TenantStateStore:
     def open(
         self, tenant_id: str, alphabet_size: int | None = None
     ) -> TenantState:
-        """The tenant, created (and journaled) if it does not exist."""
+        """The tenant, created (and journaled) if it does not exist.
+
+        A new tenant's id names its directory under ``<root>/tenants``,
+        so an id that is empty, ``.``/``..``, or holds a path separator
+        or NUL is refused (422): it would journal outside that
+        directory, where :meth:`recover_all` never looks.
+        """
         state = self._tenants.get(tenant_id)
         if state is not None:
             if state.quarantined is not None:
@@ -246,6 +252,14 @@ class TenantStateStore:
                     reason="quarantined",
                 )
             return state
+        if tenant_id in ("", ".", "..") or any(
+            char in tenant_id for char in "/\\\0"
+        ):
+            raise ScoreRefusal(
+                f"invalid tenant id {tenant_id!r}",
+                status=422,
+                reason="invalid-tenant",
+            )
         size = (
             int(alphabet_size)
             if alphabet_size is not None
@@ -503,7 +517,7 @@ class TenantStateStore:
         if tenants_dir.is_dir():
             for directory in sorted(p for p in tenants_dir.iterdir() if p.is_dir()):
                 tenant_id = directory.name
-                journal = TenantJournal(directory, fsync=self._fsync)
+                journal = self._journal(tenant_id)
                 try:
                     loaded = journal.recover(
                         self._store, store_faulty=store_faulty

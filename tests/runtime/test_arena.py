@@ -224,6 +224,57 @@ class TestCacheEvictionCoupling:
         assert glob.glob(f"/dev/shm/{descriptor.name}")
 
 
+class TestPickleFallback:
+    """Process sweeps ship pickled suites when shared memory fails."""
+
+    FAMILIES = ("stide", "markov")
+
+    @pytest.fixture(scope="class")
+    def shm_maps(self, suite):
+        return SweepEngine(max_workers=2).sweep(self.FAMILIES, suite)
+
+    def _assert_same(self, expected, actual, suite) -> None:
+        for name in self.FAMILIES:
+            for anomaly_size in suite.anomaly_sizes:
+                for window_length in suite.window_lengths:
+                    assert expected[name].cell(
+                        anomaly_size, window_length
+                    ) == actual[name].cell(anomaly_size, window_length)
+
+    def test_unavailable_shm_sweeps_pickled_suites(
+        self, suite, shm_maps, monkeypatch
+    ):
+        from repro.runtime import engine as engine_module
+
+        published = []
+        real_share = engine_module.share_suite
+
+        def recording_share(*args, **kwargs):
+            published.append(args)
+            return real_share(*args, **kwargs)
+
+        monkeypatch.setattr(WindowArena, "available", staticmethod(lambda: False))
+        monkeypatch.setattr(engine_module, "share_suite", recording_share)
+        engine = SweepEngine(max_workers=2)
+        pickled = engine.sweep(self.FAMILIES, suite)
+        assert engine.executor == "process"
+        assert published == []  # nothing went through the arena
+        self._assert_same(shm_maps, pickled, suite)
+
+    def test_failed_publish_sweeps_pickled_suites(
+        self, suite, shm_maps, monkeypatch
+    ):
+        from repro.runtime import engine as engine_module
+
+        def broken_share(*args, **kwargs):
+            raise OSError("no space left on /dev/shm")
+
+        monkeypatch.setattr(engine_module, "share_suite", broken_share)
+        pickled = SweepEngine(max_workers=2).sweep(self.FAMILIES, suite)
+        self._assert_same(shm_maps, pickled, suite)
+        assert _segment_paths() == []
+
+
 class TestNoLeaks:
     def test_process_sweep_leaves_no_segments(self, suite):
         engine = SweepEngine(max_workers=2, executor="process")
@@ -261,3 +312,74 @@ class TestCrashCleanup:
         )
         engine.sweep_with_report(("stide",), suite)
         assert _segment_paths() == []
+
+    def test_killed_sweep_process_leaves_no_workers_or_segments(self):
+        """SIGKILL of the sweeping process must not strand its pool."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        import time
+        from pathlib import Path
+
+        script = textwrap.dedent(
+            """
+            from repro.datagen.suite import build_suite
+            from repro.datagen.training import generate_training_data
+            from repro.params import scaled_params
+            from repro.runtime import FaultSchedule, ResiliencePolicy, SweepEngine
+
+            suite = build_suite(
+                training=generate_training_data(scaled_params(8_000, seed=11))
+            )
+            hang = FaultSchedule(rate=1.0, kinds=("hang",), hang_seconds=120.0)
+            print("sweeping", flush=True)
+            SweepEngine(
+                max_workers=2, resilience=ResiliencePolicy(fault_schedule=hang)
+            ).sweep(["stide"], suite)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        victim = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=Path(__file__).resolve().parents[2],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        segments = f"/dev/shm/{SEGMENT_PREFIX}-{victim.pid}-*"
+        children = Path(f"/proc/{victim.pid}/task/{victim.pid}/children")
+        workers: list[int] = []
+        try:
+            assert victim.stdout.readline().strip() == "sweeping"
+            deadline = time.monotonic() + 60
+            # Wait for the arena and both (hanging) workers to exist.
+            while not (glob.glob(segments) and len(workers) >= 2):
+                assert victim.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+                workers = [int(pid) for pid in children.read_text().split()]
+            victim.kill()
+            victim.wait(timeout=10)
+            deadline = time.monotonic() + 20
+            while (
+                glob.glob(segments) or any(_alive(pid) for pid in workers)
+            ) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in workers if _alive(pid)] == []
+            assert glob.glob(segments) == []
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+                victim.wait(timeout=10)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, 9)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie or a recycled pid counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().split()[2] != "Z"
+    except OSError:
+        return False

@@ -29,7 +29,7 @@ from repro.runtime.faults import FAULT_KINDS, apply_fault, wrap_factory
 
 pytestmark = pytest.mark.faults
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 FAMILY = "stide"
 
 
@@ -172,7 +172,7 @@ class TestLatencyFaults:
         with pytest.raises(DetectorConfigurationError, match="latency_seconds"):
             FaultSchedule(latency_seconds=0.0)
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_slow_tasks_still_finish_bit_identically(
         self, backend, suite, reference_map
     ):
@@ -209,22 +209,22 @@ class TestCorruptionRecovery:
 
 
 class TestBrokenPoolDegradation:
-    def test_process_crash_degrades_to_thread(self, suite, reference_map):
+    def test_process_crash_degrades_to_serial(self, suite, reference_map):
         schedule = FaultSchedule(rate=0.15, seed=5, kinds=("crash",))
         assert _fired_blocks(schedule, suite), "seed must inject a crash"
         performance_map, report = _faulted_sweep(suite, "process", schedule)
         _assert_identical(performance_map, reference_map, suite)
         assert report.requested_backend == "process"
-        assert report.final_backend in ("thread", "serial")
+        assert report.final_backend == "serial"
         assert report.degradations
-        assert report.degradations[0].startswith("process->thread")
+        assert report.degradations[0].startswith("process->serial")
 
     def test_degradation_can_be_disabled(self, suite):
         schedule = FaultSchedule(rate=0.15, seed=5, kinds=("crash",))
         with pytest.raises(SweepAbortedError, match="no degradation"):
             _faulted_sweep(suite, "process", schedule, degrade=False)
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial",))
     def test_crash_downgrades_to_transient_off_process(
         self, backend, suite, reference_map
     ):

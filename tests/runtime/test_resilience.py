@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.detectors.stide import StideDetector
 from repro.evaluation.experiment import run_paper_experiment
 from repro.evaluation.performance_map import CellResult, build_performance_map
 from repro.evaluation.robustness import replicate_shapes, stide_shape
@@ -106,12 +107,14 @@ class TestFromArgs:
 
 
 def _task(key, fn, validate=None):
+    """A task whose body ``fn`` runs inline or in a worker process."""
     name, _, window = key.partition(":")
     return SweepTask(
         key=key,
         name=name,
         window_length=int(window),
         run=fn,
+        process_payload=(fn, ()),
         validate=validate,
     )
 
@@ -121,71 +124,78 @@ def _fast_policy(**kwargs) -> ResiliencePolicy:
     return ResiliencePolicy(**kwargs)
 
 
+# Task bodies are module-level so the process backend can pickle them.
+
+
+def _flaky(attempt: int):
+    if attempt < 3:
+        raise TransientTaskError("boom")
+    return ("ok", attempt)
+
+
+def _hopeless(attempt: int):
+    raise TransientTaskError("always")
+
+
+def _fatal(attempt: int):
+    raise EvaluationError("bad inputs")
+
+
+def _slow_once(attempt: int):
+    import time as _time
+
+    if attempt == 1:
+        _time.sleep(0.4)
+    return ("ok", None)
+
+
+def _echo_attempt(attempt: int):
+    return (attempt, None)
+
+
 class TestResilientRunner:
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_transient_failures_are_retried(self, backend):
-        attempts_seen = []
-
-        def flaky(attempt: int):
-            attempts_seen.append(attempt)
-            if attempt < 3:
-                raise TransientTaskError("boom")
-            return ("ok", None)
-
         runner = ResilientRunner(_fast_policy(), backend, max_workers=2)
         results = {}
         runner.run(
-            [_task("stide:4", flaky)],
+            [_task("stide:4", _flaky)],
             lambda task, result: results.update({task.key: result}),
         )
-        assert results["stide:4"] == ("ok", None)
-        assert attempts_seen == [1, 2, 3]
+        assert results["stide:4"] == ("ok", 3)
         (report,) = runner.task_reports()
         assert report.status == "completed"
         assert report.attempts == 3
         assert report.retried
         assert len(report.errors) == 2
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_retry_budget_exhaustion_aborts(self, backend):
-        def hopeless(attempt: int):
-            raise TransientTaskError("always")
-
         runner = ResilientRunner(
             _fast_policy(retry=RetryPolicy(retries=1, backoff=0.001)),
             backend,
             max_workers=2,
         )
         with pytest.raises(SweepAbortedError, match="retry budget"):
-            runner.run([_task("stide:4", hopeless)], lambda *_: None)
+            runner.run([_task("stide:4", _hopeless)], lambda *_: None)
         (report,) = runner.task_reports()
         assert report.status == "failed"
         assert report.attempts == 2
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_fatal_errors_abort_immediately(self, backend):
-        def fatal(attempt: int):
-            raise EvaluationError("bad inputs")
-
         runner = ResilientRunner(_fast_policy(), backend, max_workers=2)
         with pytest.raises(SweepAbortedError, match="failed fatally"):
-            runner.run([_task("stide:4", fatal)], lambda *_: None)
+            runner.run([_task("stide:4", _fatal)], lambda *_: None)
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_timeout_is_retried_as_transient(self, backend):
-        import time as _time
-
-        def slow_once(attempt: int):
-            if attempt == 1:
-                _time.sleep(0.4)
-            return ("ok", None)
-
         runner = ResilientRunner(
             _fast_policy(task_timeout=0.1), backend, max_workers=2
         )
         results = {}
         runner.run(
-            [_task("stide:4", slow_once)],
+            [_task("stide:4", _slow_once)],
             lambda task, result: results.update({task.key: result}),
         )
         assert results["stide:4"] == ("ok", None)
@@ -196,11 +206,8 @@ class TestResilientRunner:
     def test_timeout_error_is_transient(self):
         assert issubclass(TaskTimeoutError, TransientTaskError)
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_validation_failures_are_retried(self, backend):
-        def task(attempt: int):
-            return (attempt, None)
-
         def validate(result):
             if result[0] < 2:
                 raise TransientTaskError("corrupt")
@@ -208,7 +215,7 @@ class TestResilientRunner:
         runner = ResilientRunner(_fast_policy(), backend, max_workers=2)
         results = {}
         runner.run(
-            [_task("stide:4", task, validate)],
+            [_task("stide:4", _echo_attempt, validate)],
             lambda t, result: results.update({t.key: result}),
         )
         assert results["stide:4"] == (2, None)
@@ -304,13 +311,11 @@ class TestResilientSweep:
         return build_performance_map("stide", suite)
 
     def test_clean_run_report(self, suite, serial_map):
-        engine = SweepEngine(
-            max_workers=2, executor="thread", resilience=ResiliencePolicy()
-        )
+        engine = SweepEngine(max_workers=2, resilience=ResiliencePolicy())
         maps, report = engine.sweep_with_report(["stide"], suite)
         _assert_maps_identical(serial_map, maps["stide"], suite)
-        assert report.requested_backend == "thread"
-        assert report.final_backend == "thread"
+        assert report.requested_backend == "process"
+        assert report.final_backend == "process"
         assert report.degradations == ()
         assert report.completed == len(suite.window_lengths)
         assert report.failed == 0
@@ -323,6 +328,32 @@ class TestResilientSweep:
         engine = SweepEngine(executor="serial", resilience=ResiliencePolicy())
         maps = engine.sweep(["stide"], suite)
         _assert_maps_identical(serial_map, maps["stide"], suite)
+
+    def test_plain_sweep_retries_a_transient_fault(self, suite, serial_map):
+        # No policy configured: the engine's default one still retries.
+        alphabet_size = suite.training.alphabet.size
+        built = []
+
+        def flaky_factory(window_length: int) -> StideDetector:
+            built.append(window_length)
+            if window_length == 5 and built.count(5) == 1:
+                raise TransientTaskError("first DW 5 build fails")
+            return StideDetector(window_length, alphabet_size)
+
+        maps = SweepEngine(executor="serial").sweep([flaky_factory], suite)
+        _assert_maps_identical(serial_map, maps["stide"], suite)
+        assert built.count(5) == 2
+
+    def test_plain_sweep_aborts_on_a_fatal_fault(self, suite):
+        alphabet_size = suite.training.alphabet.size
+
+        def broken_factory(window_length: int) -> StideDetector:
+            if window_length == 5:
+                raise EvaluationError("DW 5 is misconfigured")
+            return StideDetector(window_length, alphabet_size)
+
+        with pytest.raises(SweepAbortedError, match="failed fatally"):
+            SweepEngine(executor="serial").sweep([broken_factory], suite)
 
     def test_checkpoint_streams_every_cell(self, suite, tmp_path):
         path = tmp_path / "sweep.jsonl"

@@ -86,13 +86,18 @@ class TestKeySchema:
             "print(detector.last_fit_report.store_key)\n"
             "print(detector.last_fit_report.origin)\n"
         )
+        # The caller's environment minus any pinned hash seed, so the
+        # child really runs under a different one; no bytecode caches
+        # land in src/.
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONHASHSEED", None)
         result = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             check=True,
             cwd=Path(__file__).resolve().parents[2],
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            env=env,
         )
         there, origin = result.stdout.split()
         assert there == here

@@ -37,8 +37,9 @@ class TestParallelSequentialEquivalence:
     def serial_maps(self, suite):
         return {name: build_performance_map(name, suite) for name in FAMILIES}
 
-    def test_thread_sweep_matches_serial_cell_for_cell(self, suite, serial_maps):
-        engine = SweepEngine(max_workers=4, executor="thread")
+    def test_default_sweep_matches_serial_cell_for_cell(self, suite, serial_maps):
+        engine = SweepEngine(max_workers=2)
+        assert engine.executor == "process"
         engine_maps = engine.sweep(FAMILIES, suite)
         for name in FAMILIES:
             _assert_maps_identical(serial_maps[name], engine_maps[name], suite)
@@ -107,6 +108,21 @@ class TestEngineValidation:
     def test_unknown_executor_rejected(self):
         with pytest.raises(EvaluationError, match="unknown executor"):
             SweepEngine(executor="fibers")
+        with pytest.raises(EvaluationError, match="unknown executor"):
+            SweepEngine(executor="thread")
+
+    def test_backend_follows_worker_count_and_specs(self, suite):
+        alphabet_size = suite.training.alphabet.size
+
+        def factory(window_length: int) -> StideDetector:
+            return StideDetector(window_length, alphabet_size)
+
+        assert SweepEngine(max_workers=1).executor == "serial"
+        engine = SweepEngine(max_workers=2)
+        assert engine.executor == "process"
+        # Factory specs cannot be pickled into a worker: they run serial.
+        _map, report = engine.sweep_with_report([factory], suite)
+        assert report.requested_backend == "serial"
 
     def test_zero_workers_rejected(self):
         with pytest.raises(EvaluationError, match="max_workers"):

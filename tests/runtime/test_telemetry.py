@@ -363,12 +363,6 @@ class TestSweepTelemetry:
         grid = len(small_suite.anomaly_sizes) * len(small_suite.window_lengths)
         assert histograms["cell.wall"]["count"] == grid * len(FAMILIES)
 
-    def test_thread_sweep_counters_consistent(self, small_suite, tmp_path):
-        telemetry, _maps = self._swept(
-            small_suite, executor="thread", max_workers=4
-        )
-        self._check(telemetry, tmp_path, "thread")
-
     def test_process_sweep_merges_worker_snapshots(
         self, small_suite, tmp_path
     ):
@@ -385,8 +379,7 @@ class TestSweepTelemetry:
     ):
         telemetry = Telemetry()
         engine = SweepEngine(
-            executor="thread",
-            max_workers=4,
+            max_workers=2,
             resilience=ResiliencePolicy(),
             telemetry=telemetry,
         )

@@ -15,6 +15,7 @@ import pytest
 
 from repro.detectors.registry import create_detector
 from repro.runtime.shardstore import ShardedStore
+from repro.exceptions import ScoreRefusal
 from repro.runtime.store import ArtifactStore
 from repro.runtime.telemetry import (
     Telemetry,
@@ -132,6 +133,35 @@ class TestDeltaServing:
             assert store.detector_for(state, "histogram", 4) is first
         assert first.export_fit_state() is None
         assert collector.metrics.snapshot()["counters"].get("serve.fit", 0) == 1
+
+
+class TestTenantDirectories:
+    @pytest.mark.parametrize("tenant_id", ["", ".", "..", "a/b", "a\\b", "a\0b"])
+    def test_path_like_ids_are_refused(self, tmp_path, tenant_id):
+        store = TenantStateStore(tmp_path / "state", models=_models(tmp_path))
+        with pytest.raises(ScoreRefusal) as refused:
+            store.open(tenant_id)
+        assert refused.value.status == 422
+        assert list((tmp_path / "state").rglob("manifest.json")) == []
+        assert list((tmp_path / "state").rglob("wal*.jsonl")) == []
+
+    def test_recovered_journal_keeps_the_segment_size(self, tmp_path):
+        store = TenantStateStore(
+            tmp_path / "state", models=_models(tmp_path), wal_segment_bytes=256
+        )
+        _drive(store, batches=1)
+        reborn = TenantStateStore(
+            tmp_path / "state", models=_models(tmp_path), wal_segment_bytes=256
+        )
+        reborn.recover_all()
+        state = reborn.get("acme")
+        before = len(state.journal.segment_paths())
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            batch = rng.integers(0, 8, size=24).tolist()
+            reborn.ingest(state, reborn.validate_events(batch, 8))
+        # 4 appends of ~100 bytes each rotate a 256-byte log at least once.
+        assert len(state.journal.segment_paths()) > before
 
 
 class TestWarmRevival:

@@ -172,6 +172,35 @@ class TestTrainAndScore:
 
         run(_with_server(scenario))
 
+    def test_path_like_tenant_id_is_refused_and_writes_nothing(self):
+        import json
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            payload = json.dumps(
+                {"events": _events(1), "alphabet_size": ALPHABET}
+            ).encode()
+            # A raw request line: no client normalizes the ".." away.
+            writer.write(
+                b"POST /v1/tenants/../train HTTP/1.1\r\n"
+                b"Connection: close\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload)
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            status_line, _, rest = raw.partition(b"\r\n")
+            assert b"422" in status_line
+            assert b"invalid-tenant" in rest
+            root = server.tenants.root
+            assert not (root / "manifest.json").exists()
+            assert not (root / "wal.jsonl").exists()
+            assert list(root.rglob("manifest.json")) == []
+
+        run(_with_server(scenario))
+
     def test_out_of_alphabet_events_422(self):
         async def scenario(server):
             host, port = "127.0.0.1", server.port

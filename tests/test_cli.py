@@ -47,6 +47,27 @@ class TestParser:
         args = build_parser().parse_args(["maps"])
         assert args.jobs == 1
 
+    @pytest.mark.parametrize("command", ("maps", "atlas", "select"))
+    def test_every_sweep_runs_on_an_engine(self, command):
+        from repro.cli import _engine
+        from repro.runtime import SweepEngine
+
+        serial = _engine(build_parser().parse_args([command]))
+        assert isinstance(serial, SweepEngine)
+        assert serial.executor == "serial"
+        assert serial.resilience is None
+        pooled = _engine(build_parser().parse_args([command, "--jobs", "2"]))
+        assert pooled.executor == "process"
+        assert pooled.max_workers == 2
+
+    @pytest.mark.parametrize(
+        "knob", (["--executor", "serial"], ["--no-shm"])
+    )
+    def test_backend_knobs_are_gone(self, knob, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["maps", *knob])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMapsCommand:
     def test_single_detector_map(self, capsys):
