@@ -125,8 +125,7 @@ def _telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "--profile",
         default=None,
         metavar="DIR",
-        help="dump cProfile .pstats files (one per worker thread/"
-        "process) into DIR",
+        help="dump cProfile .pstats files (one per sweep process) into DIR",
     )
 
 
@@ -327,7 +326,7 @@ def _cmd_maps(args: argparse.Namespace) -> int:
         print(render_performance_map(result.map_for(name)))
         print()
     print(result.summary())
-    if result.run_report is not None:
+    if engine.resilience is not None:
         print(result.run_report.summary())
     elif engine.store is not None:
         stats = engine.last_fit_stats
@@ -447,7 +446,6 @@ def _cmd_anomaly(args: argparse.Namespace) -> int:
 
 def _cmd_atlas(args: argparse.Namespace) -> int:
     from repro.datagen.suite import build_suite
-    from repro.evaluation.performance_map import build_performance_map
     from repro.evaluation.render import render_map_summary
 
     params = scaled_params(args.stream_len, seed=args.seed)
@@ -464,16 +462,9 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         )
     engine = _engine(args)
     checkpoint, resume_from = _checkpoint_paths(args)
-    maps = {
-        name: build_performance_map(
-            name,
-            suite,
-            engine=engine,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-        )
-        for name in names
-    }
+    maps = engine.sweep(
+        names, suite, checkpoint=checkpoint, resume_from=resume_from
+    )
     rows = [
         (
             name,
@@ -540,7 +531,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     from repro.datagen.suite import build_suite
     from repro.ensemble import AnomalyProfile, Coverage, select_detectors
-    from repro.evaluation.performance_map import build_performance_map
 
     params = scaled_params(args.stream_len, seed=args.seed)
     training = generate_training_data(params)
@@ -548,17 +538,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
     candidates = args.detectors or ["stide", "markov", "lane-brodley"]
     engine = _engine(args)
     checkpoint, resume_from = _checkpoint_paths(args)
+    maps = engine.sweep(
+        candidates, suite, checkpoint=checkpoint, resume_from=resume_from
+    )
     coverages = {
-        name: Coverage.from_performance_map(
-            build_performance_map(
-                name,
-                suite,
-                engine=engine,
-                checkpoint=checkpoint,
-                resume_from=resume_from,
-            )
-        )
-        for name in candidates
+        name: Coverage.from_performance_map(performance_map)
+        for name, performance_map in maps.items()
     }
     profile = AnomalyProfile(
         size=args.size, max_deployable_window=args.max_window

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.datagen.suite import EvaluationSuite, build_suite
 from repro.datagen.training import TrainingData
-from repro.evaluation.performance_map import PerformanceMap, build_performance_map
+from repro.evaluation.performance_map import PerformanceMap
 from repro.evaluation.render import render_map_summary, render_performance_map
 from repro.exceptions import EvaluationError
 from repro.params import PaperParams
@@ -27,8 +27,8 @@ class ExperimentResult:
         suite: the corpus the maps were computed on.
         maps: one performance map per detector family, keyed by name.
         run_report: the sweep's :class:`~repro.runtime.resilience.RunReport`
-            when a resilience policy or a checkpoint was requested
-            (``None`` otherwise).
+            (``None`` for maps not swept in this process, such as a
+            plan stage decoded from its cached payload).
     """
 
     suite: EvaluationSuite
@@ -78,14 +78,14 @@ def run_paper_experiment(
     training: TrainingData | None = None,
     detectors: Iterable[str] = DEFAULT_DETECTORS,
     engine: "object | None" = None,
-    max_workers: int | None = None,
     checkpoint: "str | None" = None,
     resume_from: "str | None" = None,
-    store: "object | None" = None,
-    warm_start: bool | None = None,
-    telemetry: "object | None" = None,
 ) -> ExperimentResult:
     """Run the paper's evaluation end to end.
+
+    Every family is swept in one
+    :meth:`~repro.runtime.SweepEngine.sweep_with_report` call, so a
+    multi-worker engine starts one pool and shares the suite once.
 
     Args:
         params: corpus parameters (used only when no suite is given).
@@ -93,78 +93,31 @@ def run_paper_experiment(
         training: pre-built training data (used only when no suite is
             given).
         detectors: registered detector names to sweep.
-        engine: a :class:`repro.runtime.SweepEngine`; all families are
-            swept through it (results are bit-identical to the
-            engine-less reference loop).
-        max_workers: shorthand for ``engine=SweepEngine(max_workers=...)``
-            when > 1 and no engine is given.
+        engine: the :class:`repro.runtime.SweepEngine` to sweep on; it
+            carries the worker count, resilience policy, fit store and
+            telemetry.  A serial ``SweepEngine(max_workers=1)`` is used
+            when omitted, so no pool is started unasked.  Results are
+            bit-identical to
+            :func:`~repro.evaluation.performance_map.build_performance_map`
+            either way.
         checkpoint: JSONL checkpoint file completed cells stream to.
         resume_from: checkpoint file whose cells are adopted instead of
             recomputed (bit-identically).
-        store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path) backing every fit; a warm re-run
-            of the same corpus performs zero fits.  Ignored when an
-            ``engine`` is given (the engine's own store governs).
-        warm_start: forwarded to the engine the ``max_workers``/
-            ``store`` shorthand creates; ``None`` auto-enables warm
-            starting exactly when a store is attached.
-        telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
-            collector.  With no ``engine`` given the experiment runs
-            through a serial :class:`~repro.runtime.SweepEngine`
-            carrying it; a given engine without its own collector
-            adopts this one.
 
     Returns:
         Maps for every requested detector over the full case grid,
-        with ``run_report`` populated when a resilience policy or a
-        checkpoint was requested.
+        plus the sweep's ``run_report``.
     """
     if suite is None:
         suite = build_suite(params=params, training=training)
     names = list(detectors)
     if not names:
         raise EvaluationError("at least one detector is required")
-    if engine is None and max_workers is not None and max_workers > 1:
+    if engine is None:
         from repro.runtime import SweepEngine
 
-        engine = SweepEngine(
-            max_workers=max_workers,
-            store=store,
-            warm_start=warm_start,
-            telemetry=telemetry,
-        )
-    elif engine is None and telemetry is not None:
-        from repro.runtime import SweepEngine
-
-        engine = SweepEngine(
-            executor="serial",
-            store=store,
-            warm_start=warm_start,
-            telemetry=telemetry,
-        )
-    run_report = None
-    if engine is not None:
-        if telemetry is not None and getattr(engine, "telemetry", None) is None:
-            engine.attach_telemetry(telemetry)
-        if (
-            getattr(engine, "resilience", None) is not None
-            or checkpoint is not None
-            or resume_from is not None
-        ):
-            maps, run_report = engine.sweep_with_report(
-                names, suite, checkpoint=checkpoint, resume_from=resume_from
-            )
-        else:
-            maps = engine.sweep(names, suite)
-    else:
-        maps = {
-            name: build_performance_map(
-                name,
-                suite,
-                checkpoint=checkpoint,
-                resume_from=resume_from,
-                store=store,
-            )
-            for name in names
-        }
+        engine = SweepEngine(max_workers=1)
+    maps, run_report = engine.sweep_with_report(
+        names, suite, checkpoint=checkpoint, resume_from=resume_from
+    )
     return ExperimentResult(suite=suite, maps=maps, run_report=run_report)

@@ -137,82 +137,29 @@ DetectorFactory = Callable[[int], AnomalyDetector]
 def build_performance_map(
     detector: str | DetectorFactory,
     suite: EvaluationSuite,
-    engine: "object | None" = None,
-    max_workers: int | None = None,
-    checkpoint: "str | None" = None,
-    resume_from: "str | None" = None,
-    store: "object | None" = None,
-    telemetry: "object | None" = None,
     **detector_kwargs: object,
 ) -> PerformanceMap:
     """Evaluate one detector family over the whole suite grid.
 
-    For each window length a fresh detector is constructed and fitted
-    once on the training stream, then deployed on every injected test
-    stream — the paper's replication of the 8 test streams across the
-    14 window lengths.
+    The plain reference loop: for each window length a fresh detector
+    is constructed and fitted once on the training stream, then
+    deployed on every injected test stream — the paper's replication
+    of the 8 test streams across the 14 window lengths.  It shares no
+    cache, store or scheduler with anything, so tests and the figure
+    benches use it as the bit-identity oracle for
+    :class:`repro.runtime.SweepEngine`, the one place a sweep is
+    configured, parallelised or checkpointed.
 
     Args:
         detector: a registered detector name, or a factory mapping a
             window length to an (unfitted) detector instance.
         suite: the evaluation corpus.
-        engine: a :class:`repro.runtime.SweepEngine` to run the grid
-            through; the serial reference loop runs when omitted.
-        max_workers: shorthand for ``engine=SweepEngine(max_workers=...)``
-            when > 1 and no engine is given.  The engine's maps are
-            bit-identical to the serial loop's.
-        checkpoint: JSONL file (see :mod:`repro.io`) to stream each
-            completed cell to, so an interrupted build loses at most
-            the block in flight.
-        resume_from: a checkpoint file from a previous (possibly
-            killed) run; its cells are adopted instead of recomputed,
-            bit-identically, and only the missing cells are evaluated.
-        store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path): every fit is looked up by content
-            address before training and written back on a miss, so a
-            warm re-run performs zero fits.  Ignored when an ``engine``
-            is given — the engine's own store governs.  On the serial
-            reference loop the store is lookup/write-back only (no
-            warm starting), preserving bit-reproducibility.
-        telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
-            collector.  With no ``engine`` given the build runs
-            through a serial :class:`~repro.runtime.SweepEngine`
-            carrying it (bit-identical cells, fully instrumented); a
-            given engine without its own collector adopts this one.
         **detector_kwargs: forwarded to the registry when ``detector``
             is a name (ignored for factories).
 
     Returns:
         The full-grid performance map.
     """
-    if store is not None and not hasattr(store, "get"):
-        from repro.runtime.store import ArtifactStore
-
-        store = ArtifactStore(store)
-    if engine is None and max_workers is not None and max_workers > 1:
-        from repro.runtime import SweepEngine
-
-        engine = SweepEngine(
-            max_workers=max_workers, store=store, telemetry=telemetry
-        )
-    elif engine is None and telemetry is not None:
-        from repro.runtime import SweepEngine
-
-        # The serial engine is the instrumented twin of the reference
-        # loop below: bit-identical cells, plus spans and counters.
-        engine = SweepEngine(
-            executor="serial", store=store, warm_start=False, telemetry=telemetry
-        )
-    if engine is not None:
-        if telemetry is not None and getattr(engine, "telemetry", None) is None:
-            engine.attach_telemetry(telemetry)
-        return engine.build_map(
-            detector,
-            suite,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            **detector_kwargs,
-        )
     alphabet_size = suite.training.alphabet.size
     if isinstance(detector, str):
         name = detector
@@ -226,43 +173,13 @@ def build_performance_map(
         factory = detector
         name = factory(min(suite.window_lengths)).name
     cells: dict[Cell, CellResult] = {}
-    if resume_from is not None:
-        from repro.io import checkpoint_load
-
-        # A kill can truncate the final line mid-write; tolerate it —
-        # the affected cells are simply recomputed.
-        loaded = checkpoint_load(resume_from, strict=False).get(name, {})
-        sizes = set(suite.anomaly_sizes)
-        windows = set(suite.window_lengths)
-        cells = {
-            cell: result
-            for cell, result in loaded.items()
-            if cell[0] in sizes and cell[1] in windows
-        }
     for window_length in suite.window_lengths:
-        missing = [
-            anomaly_size
-            for anomaly_size in suite.anomaly_sizes
-            if (anomaly_size, window_length) not in cells
-        ]
-        if not missing:
-            continue  # the checkpoint covers this whole column
-        fresh_detector = factory(window_length)
-        if store is not None:
-            fresh_detector.attach_store(store)
-        fitted = fresh_detector.fit(suite.training.stream)
-        fresh = []
-        for anomaly_size in missing:
+        fitted = factory(window_length).fit(suite.training.stream)
+        for anomaly_size in suite.anomaly_sizes:
             outcome = score_injected(fitted, suite.stream(anomaly_size))
-            result = CellResult(
+            cells[(anomaly_size, window_length)] = CellResult(
                 anomaly_size=anomaly_size,
                 window_length=window_length,
                 outcome=outcome,
             )
-            cells[(anomaly_size, window_length)] = result
-            fresh.append(result)
-        if checkpoint is not None:
-            from repro.io import checkpoint_append
-
-            checkpoint_append(checkpoint, name, fresh)
     return PerformanceMap(detector_name=name, cells=cells)

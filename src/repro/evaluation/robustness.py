@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.datagen.suite import build_suite
 from repro.datagen.training import generate_training_data
-from repro.evaluation.performance_map import PerformanceMap, build_performance_map
+from repro.evaluation.performance_map import PerformanceMap
 from repro.exceptions import EvaluationError
 from repro.params import PaperParams
 
@@ -109,7 +109,6 @@ def replicate_shapes(
     stream_length: int = 1000,
     engine: "object | None" = None,
     checkpoint_dir: "str | Path | None" = None,
-    store: "object | None" = None,
 ) -> RobustnessReport:
     """Re-run the map experiment under each seed and check the shapes.
 
@@ -120,19 +119,16 @@ def replicate_shapes(
         detectors: detector name -> shape predicate; defaults to the
             four paper figures.
         stream_length: test-stream length per injected case.
-        engine: a :class:`repro.runtime.SweepEngine` to build each
-            replication's maps through (serial reference loop when
-            omitted).
+        engine: the :class:`repro.runtime.SweepEngine` each seed's
+            families are swept on, in one sweep per seed; a serial
+            ``SweepEngine(max_workers=1)`` when omitted.  Its fit store,
+            if any, collapses identical (stream, config) fits across
+            campaigns to one fit ever.
         checkpoint_dir: directory for per-seed checkpoint files
             (``replication-seed<seed>.jsonl``).  Completed cells are
             streamed there, and a re-run of an interrupted replication
             campaign resumes each seed from its own checkpoint —
             bit-identically — instead of recomputing finished maps.
-        store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path) for the serial path: replication
-            campaigns re-fit identical (stream, config) pairs across
-            invocations, which the store collapses to one fit ever.
-            Ignored when an ``engine`` is given.
 
     Raises:
         EvaluationError: on an empty seed list.
@@ -141,6 +137,10 @@ def replicate_shapes(
     if not seed_list:
         raise EvaluationError("at least one seed is required")
     predicates = detectors or PAPER_SHAPES
+    if engine is None:
+        from repro.runtime import SweepEngine
+
+        engine = SweepEngine(max_workers=1)
     outcomes = []
     for seed in seed_list:
         params = base_params.with_seed(seed)
@@ -150,32 +150,24 @@ def replicate_shapes(
         if checkpoint_dir is not None:
             checkpoint = Path(checkpoint_dir) / f"replication-seed{seed}.jsonl"
             resume_from = checkpoint if checkpoint.exists() else None
-        shape_held = {
-            name: predicate(
-                build_performance_map(
-                    name,
-                    suite,
-                    engine=engine,
-                    checkpoint=checkpoint,
-                    resume_from=resume_from,
-                    store=store,
-                )
-            )
-            for name, predicate in predicates.items()
-        }
+        maps = engine.sweep(
+            list(predicates), suite, checkpoint=checkpoint, resume_from=resume_from
+        )
         outcomes.append(
             ReplicationOutcome(
                 seed=seed,
                 training_length=params.training_length,
-                shape_held=shape_held,
+                shape_held={
+                    name: predicate(maps[name])
+                    for name, predicate in predicates.items()
+                },
             )
         )
-        cache = getattr(engine, "window_cache", None)
-        if cache is not None:
-            # Each seed's corpus is dead after its verdict; without
-            # this, an engine-backed campaign pins every corpus it has
-            # ever swept (the identity-keying footgun).
-            cache.release_stream(suite.training.stream)
-            for anomaly_size in suite.anomaly_sizes:
-                cache.release_stream(suite.stream(anomaly_size).stream)
+        # Each seed's corpus is dead after its verdict; without this,
+        # the engine cache pins every corpus the campaign has swept
+        # (it keys streams by identity).
+        cache = engine.window_cache
+        cache.release_stream(suite.training.stream)
+        for anomaly_size in suite.anomaly_sizes:
+            cache.release_stream(suite.stream(anomaly_size).stream)
     return RobustnessReport(outcomes=tuple(outcomes))

@@ -96,8 +96,8 @@ class TaskTimeoutError(TransientTaskError):
     Raised (and retried) by the resilience layer when one
     (family, window) block runs past ``ResiliencePolicy.task_timeout``.
     On the process backend the hung worker is terminated; on the
-    thread/serial backends the attempt is abandoned and a fresh one is
-    scheduled.
+    serial backend the attempt's watchdog thread is abandoned and a
+    fresh attempt is scheduled.
     """
 
 

@@ -10,7 +10,7 @@ It also owns the **sweep checkpoint format**: an append-only JSONL file
 with one completed performance-map cell per line.  Floats round-trip
 through ``repr`` (Python's JSON encoder), so a cell read back from a
 checkpoint compares bit-identical to the cell that was written — the
-property ``build_performance_map(resume_from=...)`` relies on.
+property ``SweepEngine.sweep(..., resume_from=...)`` relies on.
 
 Checkpoint record schema (one JSON object per line)::
 

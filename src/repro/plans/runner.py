@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.evaluation.experiment import ExperimentResult, run_paper_experiment
+from repro.evaluation.experiment import run_paper_experiment
 from repro.evaluation.performance_map import PerformanceMap
 from repro.evaluation.render import render_map_summary, render_performance_map
 from repro.evaluation.robustness import (

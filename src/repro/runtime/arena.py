@@ -27,11 +27,10 @@ exactly once:
   :class:`~repro.runtime.cache.WindowCache` (keyed by array identity)
   effective across tasks.
 
-The degradation ladder is shm -> pickle -> serial: when shared memory
-is unavailable (platform, permissions) or publishing fails, the engine
-falls back to shipping the pickled suite exactly as before; the
-thread/serial backends never involve the arena at all (workers share
-the parent's address space already).
+Only the process backend publishes an arena.  When shared memory is
+unavailable (platform, permissions) or publishing fails, the process
+tasks carry the pickled suite instead; the serial backend never
+involves the arena (its blocks run in the parent's address space).
 
 **Resource-tracker note.**  Attaching a segment registers it with the
 ``multiprocessing`` resource tracker as if the attaching process owned

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.runtime import telemetry
 from repro.runtime.fitindex import TrainingIndex
-from repro.sequences.windows import pack_windows, packable, windows_array
+from repro.sequences.windows import pack_windows, windows_array
 
 #: Cache key: (stream identity, window length, artifact tag, extra).
 #: ``extra`` is the alphabet size where the artifact depends on it.
@@ -74,11 +74,6 @@ class CacheStats:
         return self.hits / self.requests if self.requests else 0.0
 
 
-#: Whether windows fit the 63-bit packed-integer budget (bit-width
-#: packing: ``window_length * symbol_bits(alphabet_size) <= 63``).
-_packable = packable
-
-
 class WindowCache:
     """Per-(stream, window length) memo of slide/pack/unique artifacts.
 
@@ -87,12 +82,11 @@ class WindowCache:
     :meth:`repro.detectors.base.AnomalyDetector.attach_cache`.
     """
 
-    def __init__(self, use_index: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[_Key, object] = {}
         self._streams: dict[int, np.ndarray] = {}
         self._indexes: dict[int, TrainingIndex] = {}
-        self._use_index = use_index
         self._hits = 0
         self._misses = 0
         self._arena: object | None = None
@@ -269,9 +263,7 @@ class WindowCache:
         """
         # Resolve the decomposition before entering _get: the cache
         # lock is not reentrant.
-        rows, _inverse, _counts = self._decomposition(
-            stream, window_length, alphabet_size
-        )
+        rows, _inverse, _counts = self._decomposition(stream, window_length)
         key = (id(stream), window_length, "packed_db", alphabet_size)
         return self._get(stream, key, lambda: pack_windows(rows, alphabet_size))
 
@@ -289,14 +281,11 @@ class WindowCache:
         are in lexicographic order, matching
         ``np.unique(windows, axis=0)``.
 
-        When ``alphabet_size`` is given and the windows are packable,
-        the decomposition is derived from the packed integers (packing
-        is lexicographic-order preserving), which is substantially
-        faster than a row-wise unique.
+        ``alphabet_size`` does not change the result: the
+        decomposition is alphabet-independent (see
+        :meth:`_decomposition`).
         """
-        rows, inverse, _counts = self._decomposition(
-            stream, window_length, alphabet_size
-        )
+        rows, inverse, _counts = self._decomposition(stream, window_length)
         return rows, inverse
 
     def unique_counts(
@@ -313,73 +302,31 @@ class WindowCache:
         (with its :meth:`unique` sibling) from one shared sort per
         (stream, window length).
         """
-        rows, _inverse, counts = self._decomposition(
-            stream, window_length, alphabet_size
-        )
+        rows, _inverse, counts = self._decomposition(stream, window_length)
         return rows, counts
 
     def _decomposition(
-        self,
-        stream: np.ndarray,
-        window_length: int,
-        alphabet_size: int | None,
+        self, stream: np.ndarray, window_length: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The shared (rows, inverse, counts) unique decomposition.
 
-        With the training index enabled (the default), the
-        decomposition at any order is derived incrementally from the
-        order below by :class:`~repro.runtime.fitindex.TrainingIndex`
-        — one stable two-key sort per new order instead of a fresh
-        slide + pack + full sort per (window length, alphabet) — and
-        the artifact key is alphabet-independent, so every family at
-        every alphabet shares one entry per order.  The result is
-        bit-identical to ``np.unique(view, axis=0, ...)`` either way.
+        Derived incrementally from the order below by
+        :class:`~repro.runtime.fitindex.TrainingIndex` — one stable
+        two-key sort per new order instead of a fresh slide + pack +
+        full sort per (window length, alphabet) — and keyed without
+        the alphabet, so every family at every alphabet shares one
+        entry per order (the same key the arena seeds workers under).
+        Bit-identical to ``np.unique(view, axis=0, ...)``.
         """
-        if self._use_index:
-            key = (id(stream), window_length, "unique", -1)
-
-            def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                # Under the cache lock: index growth is serialized.
-                index = self._indexes.get(id(stream))
-                if index is None:
-                    index = TrainingIndex(stream)
-                    self._indexes[id(stream)] = index
-                return index.decomposition(window_length)
-
-            return self._get(stream, key, compute)
-
-        tag = alphabet_size if alphabet_size is not None else -1
-        key = (id(stream), window_length, "unique", tag)
-        use_packed = alphabet_size is not None and _packable(
-            alphabet_size, window_length
-        )
-        # Resolve prerequisite artifacts before taking the lock in
-        # _get: the lock is not reentrant, so compute() must not call
-        # back into the cache.
-        packed = (
-            self.packed(stream, window_length, alphabet_size)
-            if use_packed
-            else None
-        )
-        view = self.windows(stream, window_length)
+        key = (id(stream), window_length, "unique", -1)
 
         def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            if packed is not None:
-                _, first, inverse, counts = np.unique(
-                    packed,
-                    return_index=True,
-                    return_inverse=True,
-                    return_counts=True,
-                )
-                # first[i] locates the representative of the i-th
-                # sorted packed value, and packing preserves
-                # lexicographic row order, so view[first] matches
-                # np.unique(view, axis=0) and rows[inverse] == view.
-                return np.ascontiguousarray(view[first]), inverse, counts
-            rows, inverse, counts = np.unique(
-                view, axis=0, return_inverse=True, return_counts=True
-            )
-            return rows, inverse.reshape(-1), counts
+            # Under the cache lock: index growth is serialized.
+            index = self._indexes.get(id(stream))
+            if index is None:
+                index = TrainingIndex(stream)
+                self._indexes[id(stream)] = index
+            return index.decomposition(window_length)
 
         return self._get(stream, key, compute)
 

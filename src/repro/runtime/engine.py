@@ -296,8 +296,6 @@ class SweepEngine:
             family is a registered name, and ``serial`` for factory
             specs (they cannot be pickled into a worker).  An explicit
             ``"process"`` rejects factory specs.
-        memoized_detectors: family names scored via unique-window
-            memoization; defaults to :data:`MEMOIZED_FAMILIES`.
         window_cache: a pre-populated cache to share; a fresh one is
             created when omitted.
         resilience: the :class:`~repro.runtime.resilience.ResiliencePolicy`
@@ -339,7 +337,6 @@ class SweepEngine:
         self,
         max_workers: int | None = None,
         executor: str | None = None,
-        memoized_detectors: Iterable[str] = MEMOIZED_FAMILIES,
         window_cache: WindowCache | None = None,
         resilience: ResiliencePolicy | None = None,
         store: ArtifactStore | str | Path | None = None,
@@ -355,7 +352,6 @@ class SweepEngine:
             raise EvaluationError(f"max_workers must be >= 1, got {max_workers}")
         self._max_workers = max_workers or os.cpu_count() or 1
         self._executor = executor
-        self._memoized = frozenset(memoized_detectors)
         self._cache = window_cache if window_cache is not None else WindowCache()
         self._resilience = resilience
         self._store = (
@@ -664,25 +660,6 @@ class SweepEngine:
         }
         return maps, report
 
-    def build_map(
-        self,
-        detector: str | DetectorFactory,
-        suite: EvaluationSuite,
-        checkpoint: str | Path | None = None,
-        resume_from: str | Path | None = None,
-        **detector_kwargs: object,
-    ) -> PerformanceMap:
-        """Evaluate a single family (the engine-backed
-        :func:`build_performance_map`)."""
-        maps = self.sweep(
-            [detector],
-            suite,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            **detector_kwargs,
-        )
-        return next(iter(maps.values()))
-
     # -- zero-copy transport ----------------------------------------------------
 
     def _share_suite(
@@ -758,7 +735,7 @@ class SweepEngine:
                 detector,
                 suite,
                 cache=self._cache,
-                memoize=name in self._memoized,
+                memoize=name in MEMOIZED_FAMILIES,
                 store=self._store,
                 warm_policy=self._warm_policy,
                 warm_registry=self._warm_registry,
@@ -849,7 +826,7 @@ class SweepEngine:
                             window_length,
                             suite if payload_suite is None else payload_suite,
                             detector_kwargs,
-                            registry_name in self._memoized,
+                            registry_name in MEMOIZED_FAMILIES,
                             schedule,
                             self._store.spec() if self._store is not None else None,
                             self._warm_policy,

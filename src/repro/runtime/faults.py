@@ -210,7 +210,8 @@ def wrap_factory(
 
     The returned factory consults ``schedule`` under the key
     ``factory:<window_length>`` (attempt 1) before delegating — a
-    convenient way to break the *serial reference loop* of
+    convenient way to break a factory spec wherever it is invoked,
+    including the plain reference loop of
     :func:`~repro.evaluation.performance_map.build_performance_map`,
     which never goes through the sweep engine's task wrapper.
     """

@@ -43,7 +43,7 @@ aggregates into its :class:`~repro.runtime.resilience.RunReport`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -423,24 +423,3 @@ class FitLedger:
                 warm_disabled=tuple(self._disabled),
             )
 
-
-@dataclass(frozen=True)
-class _Unset:
-    """Internal sentinel type (dataclass so it pickles cheaply)."""
-
-
-UNSET = _Unset()
-
-
-@dataclass
-class FitContext:
-    """Everything a block needs to resolve fits beyond the raw streams.
-
-    Bundled so :func:`~repro.runtime.engine.evaluate_window_block` can
-    attach one object to a detector: the persistent store, the warm
-    policy, and the in-process donor registry.
-    """
-
-    store: object | None = None
-    warm_policy: WarmStartPolicy | None = None
-    registry: WarmStartRegistry | None = field(default=None, repr=False)

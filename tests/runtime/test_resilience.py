@@ -410,16 +410,6 @@ class TestResilientSweep:
         _assert_maps_identical(serial_map, maps["stide"], suite)
         assert report.resumed > 0
 
-    def test_serial_reference_loop_checkpoint_and_resume(
-        self, suite, serial_map, tmp_path
-    ):
-        path = tmp_path / "serial.jsonl"
-        build_performance_map("stide", suite, checkpoint=path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[: len(lines) // 2]))
-        resumed = build_performance_map("stide", suite, resume_from=path)
-        _assert_maps_identical(serial_map, resumed, suite)
-
     def test_abort_attaches_partial_report(self, suite, tmp_path):
         from repro.runtime import FaultSchedule
 

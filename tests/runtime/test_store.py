@@ -252,11 +252,11 @@ class TestWarmStartClassification:
 
     def test_warm_map_keeps_or_reports_classification(self, suite, tmp_path):
         cold_engine = SweepEngine(executor="serial", warm_start=False)
-        cold_map = cold_engine.build_map("neural-network", suite)
+        cold_map = cold_engine.sweep(["neural-network"], suite)["neural-network"]
         warm_engine = SweepEngine(
             executor="serial", store=tmp_path / "s", warm_start=True
         )
-        warm_map = warm_engine.build_map("neural-network", suite)
+        warm_map = warm_engine.sweep(["neural-network"], suite)["neural-network"]
         stats = warm_engine.last_fit_stats
         assert stats.warm_started + stats.computed == len(
             suite.window_lengths

@@ -10,8 +10,14 @@ from repro.detectors.registry import create_detector
 from repro.detectors.stide import StideDetector
 from repro.evaluation.experiment import run_paper_experiment
 from repro.evaluation.performance_map import build_performance_map
+from repro.evaluation.robustness import (
+    full_coverage_shape,
+    replicate_shapes,
+    stide_shape,
+)
 from repro.exceptions import EvaluationError
 from repro.runtime import MEMOIZED_FAMILIES, SweepEngine, WindowCache
+from repro.runtime.resilience import ResilientRunner
 
 #: The families sharing the window cache in the tentpole sweep.
 FAMILIES = ("stide", "t-stide", "markov", "lane-brodley")
@@ -54,10 +60,6 @@ class TestParallelSequentialEquivalence:
         engine_maps = engine.sweep(("stide",), suite)
         _assert_maps_identical(serial_maps["stide"], engine_maps["stide"], suite)
 
-    def test_build_performance_map_max_workers_wiring(self, suite, serial_maps):
-        engine_map = build_performance_map("markov", suite, max_workers=4)
-        _assert_maps_identical(serial_maps["markov"], engine_map, suite)
-
     def test_run_paper_experiment_engine_wiring(self, suite, serial_maps):
         result = run_paper_experiment(
             suite=suite,
@@ -73,8 +75,16 @@ class TestParallelSequentialEquivalence:
         def factory(window_length: int) -> StideDetector:
             return StideDetector(window_length, alphabet_size)
 
-        engine_map = SweepEngine(max_workers=2).build_map(factory, suite)
-        _assert_maps_identical(serial_maps["stide"], engine_map, suite)
+        engine_maps = SweepEngine(max_workers=2).sweep([factory], suite)
+        _assert_maps_identical(serial_maps["stide"], engine_maps["stide"], suite)
+
+    def test_engine_less_experiment_sweeps_serially(self, suite, serial_maps):
+        result = run_paper_experiment(suite=suite, detectors=("stide", "markov"))
+        # No engine given: one serial sweep, never a pool.
+        assert result.run_report.requested_backend == "serial"
+        assert result.run_report.final_backend == "serial"
+        for name in ("stide", "markov"):
+            _assert_maps_identical(serial_maps[name], result.map_for(name), suite)
 
 
 class TestMemoizedScoring:
@@ -155,3 +165,52 @@ class TestCacheSharing:
         # training-stream artifacts at every window length.
         assert stats.hits > 0
         assert stats.hit_rate > 0.3
+
+
+class TestOneSweepPerSuite:
+    """A multi-family caller makes one engine sweep per suite.
+
+    Under the process backend each sweep publishes the suite into a
+    shared-memory arena and starts a pool, so a caller that swept
+    family by family paid both once per family.
+    """
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        counts = {"shares": 0, "pools": 0}
+        share_suite = SweepEngine._share_suite
+        new_pool = ResilientRunner._new_pool
+
+        def counting_share(engine, suite):
+            counts["shares"] += 1
+            return share_suite(engine, suite)
+
+        def counting_pool(runner, pools):
+            counts["pools"] += 1
+            return new_pool(runner, pools)
+
+        monkeypatch.setattr(SweepEngine, "_share_suite", counting_share)
+        monkeypatch.setattr(ResilientRunner, "_new_pool", counting_pool)
+        return counts
+
+    @pytest.mark.parametrize("command", ("atlas", "select"))
+    def test_cli_shares_the_suite_once(self, command, sweeps, capsys):
+        from repro.cli import main
+
+        exit_code = main(
+            [command, "--stream-len", "12000", "--seed", "7", "--jobs", "2"]
+            + ["--detectors", "stide", "t-stide", "markov"]
+        )
+        assert exit_code == 0, capsys.readouterr().err
+        assert sweeps == {"shares": 1, "pools": 1}
+
+    def test_replications_share_each_suite_once(self, params, sweeps):
+        seeds = (11, 47)
+        report = replicate_shapes(
+            params,
+            seeds=seeds,
+            detectors={"stide": stide_shape, "markov": full_coverage_shape},
+            engine=SweepEngine(max_workers=2),
+        )
+        assert report.all_held, report.summary()
+        assert sweeps == {"shares": len(seeds), "pools": len(seeds)}
