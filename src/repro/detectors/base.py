@@ -274,9 +274,7 @@ class AnomalyDetector(abc.ABC):
         if cache is None:
             return None
         length = self._window_length if window_length is None else window_length
-        return cache.unique_counts(  # type: ignore[attr-defined]
-            stream, length, self._alphabet_size
-        )
+        return cache.unique_counts(stream, length)  # type: ignore[attr-defined]
 
     def _packed_database(self, stream: np.ndarray) -> np.ndarray | None:
         """Cached sorted packed windows of ``stream``, or ``None``.

@@ -13,6 +13,14 @@ distinct (context, next-symbol) pairs of the training stream, weights
 being the pairs' occurrence counts.  Training is full-batch gradient
 descent with momentum; initialization is seeded, so results are
 reproducible.
+
+The training kernel (algorithm version 2, see ``DESIGN.md``) keeps every
+parameter in one flat buffer with the biases folded into the weight
+matrices — a constant-1 input column and a constant-1 hidden column —
+so each layer is one matrix product forward and one for its gradient,
+and it stops early once the loss has converged (:data:`STOP_INTERVAL`,
+:data:`STOP_MIN_GAIN`).  The network is small, so training cost is
+per-call overhead, not arithmetic: the epoch loop allocates nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +31,13 @@ import numpy as np
 
 from repro.exceptions import DetectorConfigurationError
 
+#: Epochs between two convergence checks.
+STOP_INTERVAL = 10
+
+#: Training stops once the loss improved by less than this fraction of
+#: its value :data:`STOP_INTERVAL` epochs earlier.
+STOP_MIN_GAIN = 1e-3
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -32,7 +47,8 @@ class MlpConfig:
         hidden_units: size of the single hidden layer.
         learning_rate: the "learning constant".
         momentum: the "momentum constant".
-        epochs: number of full-batch passes.
+        epochs: cap on the number of full-batch passes (training stops
+            earlier once the loss has converged).
         seed: weight-initialization seed.
         init_scale: uniform initialization half-width.
     """
@@ -82,18 +98,30 @@ class NextSymbolMlp:
                 f"invalid MLP dimensions: input {input_dim}, output {output_dim}"
             )
         self._config = config
+        hidden = config.hidden_units
+        first = (input_dim + 1) * hidden
+        # One flat parameter buffer; each layer is a (fan-in + 1, fan-out)
+        # view whose last row is the layer's bias.
+        self._params = np.zeros(first + (hidden + 1) * output_dim)
+        self._layer1 = self._params[:first].reshape(input_dim + 1, hidden)
+        self._layer2 = self._params[first:].reshape(hidden + 1, output_dim)
         rng = np.random.default_rng(config.seed)
         scale = config.init_scale
-        self._w1 = rng.uniform(-scale, scale, size=(input_dim, config.hidden_units))
-        self._b1 = np.zeros(config.hidden_units)
-        self._w2 = rng.uniform(-scale, scale, size=(config.hidden_units, output_dim))
-        self._b2 = np.zeros(output_dim)
-        self._trained = False
+        self._layer1[:-1] = rng.uniform(-scale, scale, size=(input_dim, hidden))
+        self._layer2[:-1] = rng.uniform(-scale, scale, size=(hidden, output_dim))
 
     @property
     def config(self) -> MlpConfig:
         """The hyperparameters this network was built with."""
         return self._config
+
+    def _views(self) -> dict[str, np.ndarray]:
+        return {
+            "w1": self._layer1[:-1],
+            "b1": self._layer1[-1],
+            "w2": self._layer2[:-1],
+            "b2": self._layer2[-1],
+        }
 
     def export_weights(self) -> dict[str, np.ndarray]:
         """Copies of the current parameters, keyed ``w1/b1/w2/b2``.
@@ -102,12 +130,7 @@ class NextSymbolMlp:
         donation: loading the export back (same dimensions) restores a
         network whose predictions are bit-identical.
         """
-        return {
-            "w1": self._w1.copy(),
-            "b1": self._b1.copy(),
-            "w2": self._w2.copy(),
-            "b2": self._b2.copy(),
-        }
+        return {name: view.copy() for name, view in self._views().items()}
 
     def load_weights(self, state: dict[str, np.ndarray]) -> bool:
         """Install exported parameters; ``True`` on success.
@@ -117,34 +140,24 @@ class NextSymbolMlp:
         returns ``False`` (the store is corruption-tolerant, so loads
         must never trust their payload).
         """
+        views = self._views()
         try:
             arrays = {
-                name: np.asarray(state[name], dtype=np.float64)
-                for name in ("w1", "b1", "w2", "b2")
+                name: np.asarray(state[name], dtype=np.float64) for name in views
             }
         except (KeyError, TypeError, ValueError):
             return False
-        if (
-            arrays["w1"].shape != self._w1.shape
-            or arrays["b1"].shape != self._b1.shape
-            or arrays["w2"].shape != self._w2.shape
-            or arrays["b2"].shape != self._b2.shape
-        ):
+        if any(arrays[name].shape != view.shape for name, view in views.items()):
             return False
-        self._w1 = arrays["w1"].copy()
-        self._b1 = arrays["b1"].copy()
-        self._w2 = arrays["w2"].copy()
-        self._b2 = arrays["b2"].copy()
-        self._trained = True
+        for name, view in views.items():
+            view[...] = arrays[name]
         return True
-
-    def _hidden(self, inputs: np.ndarray) -> np.ndarray:
-        return np.tanh(inputs @ self._w1 + self._b1)
 
     def predict_proba(self, inputs: np.ndarray) -> np.ndarray:
         """Softmax next-symbol distributions for a batch of contexts."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        return _softmax(self._hidden(inputs) @ self._w2 + self._b2)
+        hidden = np.tanh(inputs @ self._layer1[:-1] + self._layer1[-1])
+        return _softmax(hidden @ self._layer2[:-1] + self._layer2[-1])
 
     def train(
         self,
@@ -153,14 +166,21 @@ class NextSymbolMlp:
         sample_weights: np.ndarray,
         epochs: int | None = None,
     ) -> float:
-        """Fit with weighted cross-entropy; returns the final loss.
+        """Fit with weighted cross-entropy; returns the trained loss.
+
+        Full-batch gradient descent with momentum.  Every
+        :data:`STOP_INTERVAL` epochs the loss is read off the forward
+        pass; training stops there, before that epoch's update, once
+        the loss improved by less than :data:`STOP_MIN_GAIN` of its
+        previous reading.  The returned loss is always the loss of the
+        weights the network ends with.
 
         Args:
             inputs: (n, input_dim) one-hot context batch.
             targets: (n,) integer next-symbol codes.
             sample_weights: (n,) non-negative weights (occurrence
                 counts); normalized internally.
-            epochs: override of the configured epoch budget — the
+            epochs: override of the configured epoch cap — the
                 warm-start path continues from donor weights with a
                 reduced budget instead of the full cold schedule.
         """
@@ -175,30 +195,62 @@ class NextSymbolMlp:
             raise DetectorConfigurationError("sample weights must sum to > 0")
         weights = weights / weights.sum()
         config = self._config
-        velocity = [np.zeros_like(p) for p in (self._w1, self._b1, self._w2, self._b2)]
-        one_hot_targets = np.zeros((len(targets), self._w2.shape[1]))
-        one_hot_targets[np.arange(len(targets)), targets] = 1.0
         budget = config.epochs if epochs is None else max(1, int(epochs))
-        loss = float("inf")
-        for _epoch in range(budget):
-            hidden = self._hidden(inputs)
-            probabilities = _softmax(hidden @ self._w2 + self._b2)
-            clipped = np.clip(probabilities, 1e-12, 1.0)
-            loss = float(
-                -(weights * np.log(clipped[np.arange(len(targets)), targets])).sum()
-            )
+        layer1, layer2, params = self._layer1, self._layer2, self._params
+        n, hidden, output_dim = len(inputs), layer1.shape[1], layer2.shape[1]
+        # Folded operands: the constant-1 columns multiply the bias rows.
+        x = np.ones((n, layer1.shape[0]))
+        x[:, :-1] = inputs
+        h = np.ones((n, hidden + 1))
+        one_hot = np.zeros((n, output_dim))
+        one_hot[np.arange(n), targets] = 1.0
+        picks = np.arange(n) * output_dim + targets
+        # The learning constant rides on the per-sample weights, so the
+        # gradients come out pre-scaled.
+        scaled = (config.learning_rate * weights)[:, None]
+        # Per-epoch temporaries, written in place with out=.
+        act = np.empty((n, hidden))
+        slope = np.empty((n, hidden))
+        delta_hidden = np.empty((n, hidden))
+        probs = np.empty((n, output_dim))
+        delta_out = np.empty((n, output_dim))
+        row = np.empty((n, 1))
+        picked = np.empty(n)
+        gradient = np.empty_like(params)
+        grad1 = gradient[: layer1.size].reshape(layer1.shape)
+        grad2 = gradient[layer1.size :].reshape(layer2.shape)
+        velocity = np.zeros_like(params)
+        w2_t = layer2[:-1].T
+        momentum = config.momentum
+        previous = np.inf
+        for epoch in range(budget + 1):
+            np.matmul(x, layer1, out=act)
+            np.tanh(act, out=act)
+            h[:, :-1] = act
+            np.matmul(h, layer2, out=probs)
+            np.maximum.reduce(probs, axis=1, keepdims=True, out=row)
+            probs -= row
+            np.exp(probs, out=probs)
+            np.add.reduce(probs, axis=1, keepdims=True, out=row)
+            probs /= row
+            if epoch % STOP_INTERVAL == 0 or epoch == budget:
+                np.take(probs, picks, out=picked)
+                np.clip(picked, 1e-12, 1.0, out=picked)
+                np.log(picked, out=picked)
+                loss = -float(weights @ picked)
+                if epoch == budget or previous - loss < STOP_MIN_GAIN * previous:
+                    break
+                previous = loss
             # Backpropagation of the weighted cross-entropy.
-            delta_out = (probabilities - one_hot_targets) * weights[:, None]
-            grad_w2 = hidden.T @ delta_out
-            grad_b2 = delta_out.sum(axis=0)
-            delta_hidden = (delta_out @ self._w2.T) * (1.0 - hidden**2)
-            grad_w1 = inputs.T @ delta_hidden
-            grad_b1 = delta_hidden.sum(axis=0)
-            gradients = (grad_w1, grad_b1, grad_w2, grad_b2)
-            parameters = (self._w1, self._b1, self._w2, self._b2)
-            for v, gradient, parameter in zip(velocity, gradients, parameters):
-                v *= config.momentum
-                v -= config.learning_rate * gradient
-                parameter += v
-        self._trained = True
+            np.subtract(probs, one_hot, out=delta_out)
+            delta_out *= scaled
+            np.matmul(delta_out, w2_t, out=delta_hidden)
+            np.multiply(act, act, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            delta_hidden *= slope
+            np.matmul(x.T, delta_hidden, out=grad1)
+            np.matmul(h.T, delta_out, out=grad2)
+            velocity *= momentum
+            velocity -= gradient
+            params += velocity
         return loss

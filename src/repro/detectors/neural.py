@@ -30,6 +30,11 @@ from repro.exceptions import DetectorConfigurationError
 from repro.runtime.fitindex import FitRecord
 from repro.runtime.store import fit_key
 
+#: Version of the :meth:`NextSymbolMlp.train` algorithm, part of every
+#: fit fingerprint: stored fits and warm-start donors trained by a
+#: different algorithm are never loaded.
+KERNEL_VERSION = 2
+
 
 class NeuralDetector(AnomalyDetector):
     """Feed-forward next-symbol predictor with graded responses.
@@ -128,7 +133,7 @@ class NeuralDetector(AnomalyDetector):
         return (
             f"hidden={c.hidden_units};lr={c.learning_rate!r};"
             f"mom={c.momentum!r};epochs={c.epochs};seed={c.seed};"
-            f"init={c.init_scale!r}"
+            f"init={c.init_scale!r};kernel={KERNEL_VERSION}"
         )
 
     def _fit_state(self) -> dict[str, np.ndarray] | None:

@@ -158,14 +158,12 @@ def score_injected_memoized(
         detector: a fitted detector.
         injected: the test stream with injection metadata.
         cache: a :class:`repro.runtime.WindowCache` (or compatible)
-            supplying ``unique(stream, DW, AS)``.
+            supplying ``unique(stream, DW)``.
 
     Returns:
         The classified outcome.
     """
-    unique_rows, inverse = cache.unique(
-        injected.stream, detector.window_length, detector.alphabet_size
-    )
+    unique_rows, inverse = cache.unique(injected.stream, detector.window_length)
     responses = detector.score_batch(unique_rows)[inverse]
     return outcome_from_responses(
         responses,

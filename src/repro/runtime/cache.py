@@ -268,10 +268,7 @@ class WindowCache:
         return self._get(stream, key, lambda: pack_windows(rows, alphabet_size))
 
     def unique(
-        self,
-        stream: np.ndarray,
-        window_length: int,
-        alphabet_size: int | None = None,
+        self, stream: np.ndarray, window_length: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Distinct windows of ``stream`` plus the inverse scatter index.
 
@@ -280,19 +277,12 @@ class WindowCache:
         the decomposition behind unique-window memoized scoring.  Rows
         are in lexicographic order, matching
         ``np.unique(windows, axis=0)``.
-
-        ``alphabet_size`` does not change the result: the
-        decomposition is alphabet-independent (see
-        :meth:`_decomposition`).
         """
         rows, inverse, _counts = self._decomposition(stream, window_length)
         return rows, inverse
 
     def unique_counts(
-        self,
-        stream: np.ndarray,
-        window_length: int,
-        alphabet_size: int | None = None,
+        self, stream: np.ndarray, window_length: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Distinct windows of ``stream`` plus their occurrence counts.
 

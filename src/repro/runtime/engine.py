@@ -362,6 +362,9 @@ class SweepEngine:
         self._warm_registry = WarmStartRegistry() if warm else None
         self._ledger: FitLedger | None = None
         self._last_fit_stats = FitStats()
+        # The suite the cache holds streams of; released when a sweep
+        # moves on to another suite.
+        self._held_suite: EvaluationSuite | None = None
         self._telemetry = telemetry
 
     @property
@@ -603,6 +606,9 @@ class SweepEngine:
                 resume_from, names, suite, cells
             )
         backend = self._backend(resolved)
+        if self._held_suite is not None and self._held_suite is not suite:
+            self._release_suite(self._held_suite)
+        self._held_suite = suite
         aborted: SweepAbortedError | None = None
         with self._instrumented(backend):
             payload_suite, arena = (
@@ -639,7 +645,10 @@ class SweepEngine:
                 # Unlink the arena whether the sweep finished, aborted,
                 # or was killed by a worker timeout: segments must never
                 # outlive the sweep that published them.
-                self._teardown_arena(arena, suite if arena is not None else None)
+                if arena is not None:
+                    self._cache.unbind_arena(arena)
+                    arena.close()
+                    self._release_suite(suite)
         # The report (and its telemetry snapshot) is built after the
         # instrumentation context closes so the end-of-sweep summary
         # counters are part of it.
@@ -696,27 +705,22 @@ class SweepEngine:
         self._cache.bind_arena(arena)
         return transport, arena
 
-    def _teardown_arena(
-        self, arena: WindowArena | None, suite: EvaluationSuite | None = None
-    ) -> None:
-        """Unbind and unlink the sweep's arena; release its streams.
+    def _release_suite(self, suite: EvaluationSuite) -> None:
+        """Release ``suite``'s streams from the engine cache.
 
-        When the sweep's ``suite`` is given, its streams are also
-        released from the engine cache
-        (:meth:`WindowCache.release_stream`): the cache keys streams by
-        identity and pins a reference to each, so a long-lived engine
+        The cache keys streams by identity and pins a reference to each
+        (:meth:`WindowCache.release_stream`), so a long-lived engine
         sweeping many suites would otherwise retain every suite it has
-        ever seen.  Arena-backed sweeps are exactly the
-        many-suites-per-engine regime, so teardown is where the
-        footgun is defused.
+        ever seen.  A process sweep releases its suite when it unlinks
+        its arena; a serial engine keeps the last suite warm (successive
+        per-family sweeps of one suite share its windows) and releases
+        it when a sweep of another suite starts.
         """
-        if arena is not None:
-            self._cache.unbind_arena(arena)
-            arena.close()
-        if suite is not None:
-            self._cache.release_stream(suite.training.stream)
-            for anomaly_size in suite.anomaly_sizes:
-                self._cache.release_stream(suite.stream(anomaly_size).stream)
+        if suite is self._held_suite:
+            self._held_suite = None
+        self._cache.release_stream(suite.training.stream)
+        for anomaly_size in suite.anomaly_sizes:
+            self._cache.release_stream(suite.stream(anomaly_size).stream)
 
     # -- blocks -----------------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detectors.mlp import MlpConfig, NextSymbolMlp
+from repro.detectors.mlp import STOP_INTERVAL, STOP_MIN_GAIN, MlpConfig, NextSymbolMlp
 from repro.exceptions import DetectorConfigurationError
 
 
@@ -95,3 +95,125 @@ class TestNetwork:
         assert long.train(inputs, targets, weights) < short.train(
             inputs, targets, weights
         )
+
+
+def reference_train(start, inputs, targets, sample_weights, config, epochs=None):
+    """The documented training algorithm, written plainly.
+
+    Full-batch weighted cross-entropy with momentum on the folded
+    layout (constant-1 input and hidden columns carry the biases), the
+    learning constant folded into the sample weights, and the
+    convergence stop checked every ``STOP_INTERVAL`` epochs before that
+    epoch's update.  Returns ``(weights, loss, epochs_run)``.
+    """
+    weights = sample_weights / sample_weights.sum()
+    budget = config.epochs if epochs is None else epochs
+    n = len(inputs)
+    layer1 = np.vstack([start["w1"], start["b1"]])
+    layer2 = np.vstack([start["w2"], start["b2"]])
+    x = np.hstack([inputs, np.ones((n, 1))])
+    one_hot = np.eye(layer2.shape[1])[targets]
+    scaled = (config.learning_rate * weights)[:, None]
+    velocity1 = np.zeros_like(layer1)
+    velocity2 = np.zeros_like(layer2)
+    previous = np.inf
+    for epoch in range(budget + 1):
+        act = np.tanh(x @ layer1)
+        h = np.hstack([act, np.ones((n, 1))])
+        logits = h @ layer2
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        if epoch % STOP_INTERVAL == 0 or epoch == budget:
+            picked = np.clip(probs[np.arange(n), targets], 1e-12, 1.0)
+            loss = -float(weights @ np.log(picked))
+            if epoch == budget or previous - loss < STOP_MIN_GAIN * previous:
+                break
+            previous = loss
+        delta_out = (probs - one_hot) * scaled
+        delta_hidden = (delta_out @ layer2[:-1].T) * (1.0 - act * act)
+        velocity1 = velocity1 * config.momentum - x.T @ delta_hidden
+        velocity2 = velocity2 * config.momentum - h.T @ delta_out
+        layer1 = layer1 + velocity1
+        layer2 = layer2 + velocity2
+    trained = {"w1": layer1[:-1], "b1": layer1[-1], "w2": layer2[:-1], "b2": layer2[-1]}
+    return trained, loss, epoch
+
+
+def one_hot_problem(n, context_length, alphabet_size, seed):
+    """Random one-hot contexts, next-symbol targets and counts."""
+    rng = np.random.default_rng(seed)
+    contexts = rng.integers(0, alphabet_size, size=(n, context_length))
+    inputs = np.zeros((n, context_length * alphabet_size))
+    for position in range(context_length):
+        inputs[np.arange(n), position * alphabet_size + contexts[:, position]] = 1.0
+    targets = rng.integers(0, alphabet_size, size=n)
+    counts = rng.integers(1, 50, size=n).astype(float)
+    return inputs, targets, counts
+
+
+def assert_matches_reference(network, inputs, targets, counts, epochs=None):
+    start = network.export_weights()
+    loss = network.train(inputs, targets, counts, epochs=epochs)
+    expected, expected_loss, epochs_run = reference_train(
+        start, inputs, targets, counts, network.config, epochs
+    )
+    trained = network.export_weights()
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(trained[name], expected[name]), name
+    assert loss == expected_loss
+    return epochs_run
+
+
+class TestKernelMatchesReference:
+    """The in-place training kernel equals the plain algorithm bit for bit."""
+
+    @pytest.mark.parametrize(
+        ("n", "context_length", "alphabet_size", "config", "stops"),
+        [
+            (1, 1, 4, MlpConfig(), True),
+            (6, 2, 3, MlpConfig(hidden_units=8), True),
+            (40, 3, 5, MlpConfig(), True),
+            # The paper's largest fit: DW=15 over AS=8, 106 distinct rows.
+            (106, 14, 8, MlpConfig(), False),
+        ],
+        ids=["one-row", "6x6", "40x15", "106x112"],
+    )
+    def test_cold_fit(self, n, context_length, alphabet_size, config, stops):
+        inputs, targets, counts = one_hot_problem(n, context_length, alphabet_size, n)
+        network = NextSymbolMlp(inputs.shape[1], alphabet_size, config)
+        epochs_run = assert_matches_reference(network, inputs, targets, counts)
+        assert (epochs_run < config.epochs) is stops
+
+    def test_reduced_budget_from_loaded_weights(self):
+        """The warm path: donor weights, then a short ``epochs=`` budget."""
+        inputs, targets, counts = one_hot_problem(30, 2, 6, 30)
+        donor = NextSymbolMlp(12, 6, MlpConfig(seed=1))
+        donor.train(inputs, targets, counts, epochs=15)
+        network = NextSymbolMlp(12, 6, MlpConfig())
+        assert network.load_weights(donor.export_weights())
+        assert assert_matches_reference(network, inputs, targets, counts, 25) == 25
+
+
+class TestConvergenceStop:
+    def test_stops_before_the_cap_on_a_plateau(self):
+        """Conflicting targets plateau at their entropy; a higher cap
+        changes nothing because the stop has already fired."""
+        inputs = np.asarray([[1.0, 0.0], [1.0, 0.0]])
+        targets = np.asarray([0, 1])
+        counts = np.asarray([95.0, 5.0])
+        capped = NextSymbolMlp(2, 2, MlpConfig(seed=1, epochs=400))
+        uncapped = NextSymbolMlp(2, 2, MlpConfig(seed=1, epochs=4000))
+        loss = capped.train(inputs, targets, counts)
+        assert uncapped.train(inputs, targets, counts) == loss
+        for name, array in capped.export_weights().items():
+            assert np.array_equal(array, uncapped.export_weights()[name])
+        entropy = -(0.95 * np.log(0.95) + 0.05 * np.log(0.05))
+        assert entropy <= loss < 1.1 * entropy
+
+    def test_returned_loss_belongs_to_the_returned_weights(self):
+        inputs, targets, counts = one_hot_problem(20, 2, 4, 3)
+        network = NextSymbolMlp(8, 4, MlpConfig())
+        loss = network.train(inputs, targets, counts)
+        probs = network.predict_proba(inputs)[np.arange(20), targets]
+        recomputed = -(counts / counts.sum() * np.log(probs)).sum()
+        assert loss == pytest.approx(recomputed, rel=1e-9)

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datagen.suite import build_suite
+from repro.datagen.training import generate_training_data
+from repro.detectors.neural import NeuralDetector
 from repro.ensemble.coverage import Coverage, coverage_gain
 from repro.evaluation.experiment import run_paper_experiment
 from repro.evaluation.scoring import ResponseClass
+from repro.params import scaled_params
+from repro.runtime.engine import SweepEngine
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +75,23 @@ class TestFigure6NeuralNetwork:
         neural = result.map_for("neural-network")
         markov = result.map_for("markov")
         assert neural.capable_cells() == markov.capable_cells()
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_mimics_the_markov_detector_at_other_seeds(self, params, seed):
+        """Figure 6 is not an accident of one corpus: NN capable ==
+        Markov capable on all 112 cells, with margin to the threshold."""
+        training = generate_training_data(
+            scaled_params(params.training_length, seed)
+        )
+        maps = SweepEngine(max_workers=1).sweep(
+            ["markov", "neural-network"], build_suite(training=training)
+        )
+        neural, markov = maps["neural-network"], maps["markov"]
+        assert len(markov.capable_cells()) == 112
+        assert neural.capable_cells() == markov.capable_cells()
+        threshold = 1.0 - NeuralDetector(2, 2).response_tolerance
+        assert min(cell.outcome.max_in_span for cell in neural) > threshold
+        assert neural.spurious_alarm_total() == 0
 
 
 class TestDiversityConclusions:

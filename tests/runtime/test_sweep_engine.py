@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datagen.suite import build_suite
+from repro.datagen.training import generate_training_data
 from repro.detectors.neural import NeuralDetector
 from repro.detectors.registry import create_detector
 from repro.detectors.stide import StideDetector
@@ -16,6 +18,7 @@ from repro.evaluation.robustness import (
     stide_shape,
 )
 from repro.exceptions import EvaluationError
+from repro.params import scaled_params
 from repro.runtime import MEMOIZED_FAMILIES, SweepEngine, WindowCache
 from repro.runtime.resilience import ResilientRunner
 
@@ -99,7 +102,7 @@ class TestMemoizedScoring:
         stream = suite.stream(suite.anomaly_sizes[0]).stream
         direct = detector.score_stream(stream)
         cache = WindowCache()
-        unique_rows, inverse = cache.unique(stream, 5, detector.alphabet_size)
+        unique_rows, inverse = cache.unique(stream, 5)
         memoized = detector.score_windows(unique_rows)[inverse]
         np.testing.assert_array_equal(direct, memoized)
 
@@ -109,7 +112,7 @@ class TestMemoizedScoring:
         stream = np.tile(np.arange(5), 8)
         direct = detector.score_stream(stream)
         cache = WindowCache()
-        unique_rows, inverse = cache.unique(stream, 3, 5)
+        unique_rows, inverse = cache.unique(stream, 3)
         memoized = detector.score_windows(unique_rows)[inverse]
         np.testing.assert_array_equal(direct, memoized)
 
@@ -165,6 +168,40 @@ class TestCacheSharing:
         # training-stream artifacts at every window length.
         assert stats.hits > 0
         assert stats.hit_rate > 0.3
+
+
+class TestSuiteRelease:
+    """A long-lived serial engine pins only the suite it swept last."""
+
+    @staticmethod
+    def _suite(seed):
+        training = generate_training_data(scaled_params(12_000, seed))
+        return build_suite(training=training)
+
+    def test_serial_sweeps_release_the_previous_suite(self):
+        engine = SweepEngine(max_workers=1)
+        cache = engine.window_cache
+        for seed in (1, 2, 3):
+            suite = self._suite(seed)
+            engine.sweep(["stide"], suite)
+            streams = [suite.training.stream] + [
+                suite.stream(size).stream for size in suite.anomaly_sizes
+            ]
+            assert sorted(cache._streams) == sorted(map(id, streams))
+            assert all(
+                id(stream) in {key[0] for key in cache._entries}
+                for stream in streams
+            )
+
+    def test_sweeps_of_one_suite_stay_warm(self, suite):
+        engine = SweepEngine(max_workers=1)
+        engine.sweep(["stide"], suite)
+        before = engine.window_cache.stats
+        engine.sweep(["t-stide"], suite)
+        after = engine.window_cache.stats
+        # Every t-stide fit reads stide's training tables; only
+        # t-stide's own derivations miss.
+        assert after.hits - before.hits > after.misses - before.misses
 
 
 class TestOneSweepPerSuite:

@@ -57,25 +57,27 @@ class TestPackedArtifact:
 
 
 class TestUniqueArtifact:
-    @pytest.mark.parametrize("alphabet_size", (None, ALPHABET))
-    def test_matches_numpy_unique(self, cache, alphabet_size):
-        rows, inverse = cache.unique(STREAM, 3, alphabet_size)
+    @pytest.mark.parametrize("window_length", (2, 4, 6))
+    def test_matches_numpy_unique(self, cache, window_length):
+        rows, inverse = cache.unique(STREAM, window_length)
         expected_rows, expected_inverse = np.unique(
-            windows_array(STREAM, 3), axis=0, return_inverse=True
+            windows_array(STREAM, window_length), axis=0, return_inverse=True
         )
         np.testing.assert_array_equal(rows, expected_rows)
         np.testing.assert_array_equal(inverse, expected_inverse.reshape(-1))
 
-    @pytest.mark.parametrize("alphabet_size", (None, ALPHABET))
-    def test_scatter_reconstructs_view(self, cache, alphabet_size):
-        rows, inverse = cache.unique(STREAM, 3, alphabet_size)
-        np.testing.assert_array_equal(rows[inverse], windows_array(STREAM, 3))
+    @pytest.mark.parametrize("window_length", (2, 4, 6))
+    def test_scatter_reconstructs_view(self, cache, window_length):
+        rows, inverse = cache.unique(STREAM, window_length)
+        np.testing.assert_array_equal(
+            rows[inverse], windows_array(STREAM, window_length)
+        )
 
-    @pytest.mark.parametrize("alphabet_size", (None, ALPHABET))
-    def test_counts_match_numpy_unique(self, cache, alphabet_size):
-        rows, counts = cache.unique_counts(STREAM, 3, alphabet_size)
+    @pytest.mark.parametrize("window_length", (2, 4, 6))
+    def test_counts_match_numpy_unique(self, cache, window_length):
+        rows, counts = cache.unique_counts(STREAM, window_length)
         expected_rows, expected_counts = np.unique(
-            windows_array(STREAM, 3), axis=0, return_counts=True
+            windows_array(STREAM, window_length), axis=0, return_counts=True
         )
         np.testing.assert_array_equal(rows, expected_rows)
         np.testing.assert_array_equal(counts, expected_counts)
@@ -83,7 +85,7 @@ class TestUniqueArtifact:
     def test_unpackable_window_falls_back(self, cache):
         # 40 * log2(4) = 80 bits: over the packed budget.
         long_stream = np.tile(STREAM, 8)
-        rows, inverse = cache.unique(long_stream, 40, ALPHABET)
+        rows, inverse = cache.unique(long_stream, 40)
         expected_rows, expected_inverse = np.unique(
             windows_array(long_stream, 40), axis=0, return_inverse=True
         )
