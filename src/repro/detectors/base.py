@@ -265,8 +265,8 @@ class AnomalyDetector(abc.ABC):
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Cached (distinct windows, counts) of ``stream``, or ``None``.
 
-        The frequency table every family's fit reduces to, derived from
-        one sort per (stream, window length) shared across families.
+        The frequency table every family's fit reduces to, derived once
+        per (stream, window length) and shared across families.
         ``None`` without an attached cache — callers keep their own
         derivation as the uncached fallback.
         """

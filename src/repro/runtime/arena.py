@@ -442,11 +442,11 @@ def share_suite(
         cache: a :class:`~repro.runtime.cache.WindowCache` through
             which to derive the training stream's unique-window
             decompositions (they come from its incremental training
-            index, one sort for the whole DW axis).
+            index, one counting pass per order of the DW axis).
         window_lengths: the sweep's window lengths; with ``cache``
             given, each length's (rows, inverse, counts) tables are
             published as :class:`SharedTable` entries so workers skip
-            the training sort entirely.
+            the training index build entirely.
     """
     with telemetry.span("arena", "publish"):
         return _share_suite(arena, suite, cache, window_lengths)

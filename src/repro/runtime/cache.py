@@ -289,8 +289,8 @@ class WindowCache:
         Returns ``(unique_rows, counts)`` exactly as
         ``np.unique(windows, axis=0, return_counts=True)`` would — the
         frequency table behind every detector family's fit — computed
-        (with its :meth:`unique` sibling) from one shared sort per
-        (stream, window length).
+        (with its :meth:`unique` sibling) from one shared decomposition
+        per (stream, window length).
         """
         rows, _inverse, counts = self._decomposition(stream, window_length)
         return rows, counts
@@ -301,8 +301,8 @@ class WindowCache:
         """The shared (rows, inverse, counts) unique decomposition.
 
         Derived incrementally from the order below by
-        :class:`~repro.runtime.fitindex.TrainingIndex` — one stable
-        two-key sort per new order instead of a fresh slide + pack +
+        :class:`~repro.runtime.fitindex.TrainingIndex` — one counting
+        refinement per new order instead of a fresh slide + pack +
         full sort per (window length, alphabet) — and keyed without
         the alphabet, so every family at every alphabet shares one
         entry per order (the same key the arena seeds workers under).
@@ -332,7 +332,7 @@ class WindowCache:
 
         Used by :meth:`repro.runtime.arena.SharedSuite.restore` to
         hand workers the parent's derived tables (zero-copy via shared
-        memory) so worker processes never redo the training sort.
+        memory) so worker processes never rebuild the training index.
         Seeding is silent for the counters — the restore path credits
         attachments in bulk via :meth:`merge_counts`.
 

@@ -9,6 +9,8 @@ it are indistinguishable from tables fitted directly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,20 +34,37 @@ def _stream(alphabet_size: int, length: int = 600, seed: int = 11) -> np.ndarray
     return rng.integers(0, alphabet_size, size=length).astype(np.int64)
 
 
+def _assert_levels_match_unique(stream: np.ndarray, orders) -> None:
+    """Every level equals ``np.unique(view, axis=0, ...)``, dtypes too."""
+    index = TrainingIndex(stream)
+    for window_length in orders:
+        view = windows_array(stream, window_length)
+        rows, first, inverse, counts = np.unique(
+            view,
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        level = index.level(window_length)
+        for got, expected in (
+            (level.first, first),
+            (level.inverse, inverse.reshape(-1)),
+            (level.counts, counts),
+        ):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        got_rows, got_inverse, got_counts = index.decomposition(window_length)
+        assert got_rows.dtype == rows.dtype
+        np.testing.assert_array_equal(got_rows, rows)
+        assert got_inverse is level.inverse and got_counts is level.counts
+
+
 class TestTrainingIndex:
     @pytest.mark.parametrize("alphabet_size", range(2, 10))
     def test_bit_identical_to_direct_unique_over_grid(self, alphabet_size):
-        """The acceptance grid: AS in 2..9 x DW in 2..15, bit-identical."""
-        stream = _stream(alphabet_size)
-        index = TrainingIndex(stream)
-        for window_length in range(2, 16):
-            rows, inverse, counts = index.decomposition(window_length)
-            expected_rows, expected_inverse, expected_counts = _reference(
-                stream, window_length
-            )
-            np.testing.assert_array_equal(rows, expected_rows)
-            np.testing.assert_array_equal(inverse, expected_inverse)
-            np.testing.assert_array_equal(counts, expected_counts)
+        """The acceptance grid: AS in 2..9 x DW in 1..15, bit-identical."""
+        _assert_levels_match_unique(_stream(alphabet_size), range(1, 16))
 
     def test_unpackable_corner(self):
         """AS=32, DW=13: 65 bits — past the packed-integer budget."""
@@ -89,6 +108,34 @@ class TestTrainingIndex:
     def test_bad_window_length_raises(self):
         with pytest.raises(WindowError):
             TrainingIndex(_stream(3)).decomposition(0)
+
+
+class TestCountingRefinement:
+    """Streams that steer the refinement onto one path or the other."""
+
+    def test_key_space_past_the_window_count(self):
+        """Alphabet 64, length 300: the low orders take the unique path."""
+        stream = _stream(64, length=300)
+        span = TrainingIndex(stream).level(1).group_count
+        assert span * span > len(stream) - 1
+        _assert_levels_match_unique(stream, range(1, 16))
+
+    def test_sparse_huge_symbols_size_nothing(self):
+        """Symbol values {-5, 3, 10**12} size no array: only ranks do."""
+        rng = np.random.default_rng(3)
+        stream = rng.choice(np.array([-5, 3, 10**12]), size=500)
+        tracemalloc.start()
+        try:
+            TrainingIndex(stream).level(15)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        _assert_levels_match_unique(stream, range(1, 16))
+
+    def test_paper_training_stream(self, training):
+        """The 60k paper stream: the dense path at every order."""
+        _assert_levels_match_unique(training.stream, range(1, 16))
 
 
 class TestIndexDerivedDetectorTables:
