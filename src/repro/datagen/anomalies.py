@@ -68,6 +68,7 @@ class AnomalySynthesizer:
     def __init__(self, training: TrainingData) -> None:
         self._training = training
         self._analyzer = training.analyzer
+        self._candidates: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
 
     def candidates(
         self, size: int, rare_parts_only: bool | None = None, limit: int | None = None
@@ -80,6 +81,9 @@ class AnomalySynthesizer:
                 Defaults to true for sizes >= 3 and false for size 2
                 (see module docstring).
             limit: optional cap on the number of candidates returned.
+
+        Each ``(size, rare_parts_only)`` list is enumerated once per
+        synthesizer and reused by every later call.
         """
         if size < 2:
             raise AnomalySynthesisError(
@@ -88,9 +92,12 @@ class AnomalySynthesizer:
             )
         if rare_parts_only is None:
             rare_parts_only = size >= 3
-        return self._analyzer.minimal_foreign_sequences(
-            size, rare_parts_only=rare_parts_only, limit=limit
-        )
+        key = (size, rare_parts_only)
+        if key not in self._candidates:
+            self._candidates[key] = self._analyzer.minimal_foreign_sequences(
+                size, rare_parts_only=rare_parts_only
+            )
+        return self._candidates[key][:limit]
 
     def synthesize(
         self,

@@ -56,23 +56,24 @@ def verify_background_clean(
     Raises:
         DataGenerationError: naming the first offending window.
     """
-    for length in window_lengths:
-        if len(background) < length:
+    lengths = [length for length in window_lengths if length <= len(background)]
+    counts = training_store.window_counts(background, *lengths)
+    for length in lengths:
+        found, total = counts[length], training_store.total(length)
+        frequencies = found / total if total else np.zeros(len(found))
+        offenders = np.flatnonzero(
+            (frequencies == 0.0) | (frequencies < rare_threshold)
+        )
+        if not len(offenders):
             continue
-        seen: set[tuple[int, ...]] = set()
-        view = np.lib.stride_tricks.sliding_window_view(background, length)
-        for row in view:
-            window = tuple(int(code) for code in row)
-            if window in seen:
-                continue
-            seen.add(window)
-            frequency = training_store.relative_frequency(window)
-            if frequency == 0.0:
-                raise DataGenerationError(
-                    f"background window {window} is foreign to training"
-                )
-            if frequency < rare_threshold:
-                raise DataGenerationError(
-                    f"background window {window} is rare in training "
-                    f"(relative frequency {frequency:.5f} < {rare_threshold})"
-                )
+        start = int(offenders[0])
+        window = tuple(int(code) for code in background[start : start + length])
+        frequency = float(frequencies[start])
+        if frequency == 0.0:
+            raise DataGenerationError(
+                f"background window {window} is foreign to training"
+            )
+        raise DataGenerationError(
+            f"background window {window} is rare in training "
+            f"(relative frequency {frequency:.5f} < {rare_threshold})"
+        )

@@ -136,37 +136,47 @@ class InjectedStream:
 def _verify_policy(
     candidate: InjectedStream, store: NgramStore, policy: InjectionPolicy
 ) -> str | None:
-    """Return a rejection reason, or None if the stream satisfies the policy."""
+    """Return a rejection reason, or None if the stream satisfies the policy.
+
+    The reason names the first failing window start of the first
+    failing length, in ``policy.window_lengths`` order.  One walk up
+    the store's chain counts every window at every length at once.
+    """
     stream = candidate.stream
-    size = candidate.anomaly_size
+    position, size = candidate.position, candidate.anomaly_size
+    counts = store.window_counts(
+        stream, *(length for length in policy.window_lengths if length <= len(stream))
+    )
     for window_length in policy.window_lengths:
         if len(stream) < window_length:
             return f"stream shorter than window length {window_length}"
-        view = np.lib.stride_tricks.sliding_window_view(stream, window_length)
-        checked: set[tuple[tuple[int, ...], bool]] = set()
-        for start, row in enumerate(view):
-            overlap = candidate.window_overlap(start, window_length)
-            if overlap == size and window_length >= size:
-                continue  # window contains the full anomaly: foreign by design
-            window = tuple(int(code) for code in row)
-            key = (window, overlap == 0)
-            if key in checked:
-                continue
-            checked.add(key)
-            frequency = store.relative_frequency(window)
-            if overlap == 0:
-                if policy.require_common_outside and frequency < policy.rare_threshold:
-                    kind = "foreign" if frequency == 0.0 else "rare"
-                    return (
-                        f"background window {window} at start {start} is {kind} "
-                        f"(length {window_length})"
-                    )
-            else:
-                if policy.forbid_foreign_boundary and frequency == 0.0:
-                    return (
-                        f"boundary window {window} at start {start} is foreign "
-                        f"(length {window_length})"
-                    )
+        found, total = counts[window_length], store.total(window_length)
+        frequency = found / total if total else np.zeros(len(found))
+        starts = np.arange(len(frequency))
+        ends = np.minimum(starts + window_length, position + size)
+        overlap = np.maximum(ends - np.maximum(starts, position), 0)
+        background = overlap == 0
+        failing = np.zeros(len(starts), dtype=bool)
+        if policy.require_common_outside:
+            failing |= background & (frequency < policy.rare_threshold)
+        if policy.forbid_foreign_boundary:
+            # A window holding the full anomaly is foreign by design.
+            failing |= ~background & (overlap != size) & (frequency == 0.0)
+        hits = np.flatnonzero(failing)
+        if not len(hits):
+            continue
+        start = int(hits[0])
+        window = tuple(int(code) for code in stream[start : start + window_length])
+        if background[start]:
+            kind = "foreign" if frequency[start] == 0.0 else "rare"
+            return (
+                f"background window {window} at start {start} is {kind} "
+                f"(length {window_length})"
+            )
+        return (
+            f"boundary window {window} at start {start} is foreign "
+            f"(length {window_length})"
+        )
     return None
 
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.exceptions import DetectorConfigurationError, WindowError
 from repro.runtime import telemetry
+from repro.sequences.ngram_store import count_keys
 from repro.sequences.windows import windows_array
 
 
@@ -168,23 +169,11 @@ class TrainingIndex:
     def _extend_level(
         self, previous: Decomposition, length: int, n: int
     ) -> Decomposition:
-        """The counting refinement behind :meth:`_extend` (DESIGN S52)."""
+        """The counting refinement behind :meth:`_extend` (DESIGN S52, S53)."""
         base = self._levels[1]
         span = len(base.counts)
         keys = previous.inverse[:n] * span + base.inverse[length - 1 :]
-        space = previous.group_count * span
-        if space <= n:  # a dense table no larger than the windows
-            table = np.bincount(keys, minlength=space)
-            present = table > 0
-            inverse = (np.cumsum(present) - 1)[keys]
-            counts = table[present]
-            first = np.full(space, n, dtype=np.int64)
-            np.minimum.at(first, keys, np.arange(n))
-            first = first[present]
-        else:
-            _keys, first, inverse, counts = np.unique(
-                keys, return_index=True, return_inverse=True, return_counts=True
-            )
+        inverse, counts, first = count_keys(keys, previous.group_count * span)
         self._extensions += 1
         return Decomposition(
             window_length=length, inverse=inverse, counts=counts, first=first

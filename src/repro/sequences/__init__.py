@@ -9,9 +9,8 @@ detector and generator in the library:
 * :mod:`~repro.sequences.windows` — sliding fixed-length windows, the
   basic event analyzed by all four detectors in the paper;
 * :class:`~repro.sequences.ngram_store.NgramStore` — exact n-gram
-  occurrence counts over one or more window lengths;
-* :class:`~repro.sequences.trie.SequenceTrie` — prefix trie with counts,
-  used where prefix/extension queries are needed;
+  occurrence counts over one or more window lengths, answered by
+  batched lookups;
 * :mod:`~repro.sequences.foreign` — foreignness, rarity, and
   minimal-foreign-sequence (MFS) analysis, the anomaly vocabulary of
   Tan & Maxion.
@@ -33,7 +32,6 @@ from repro.sequences.stats import (
     ngram_space_saturation,
     symbol_distribution,
 )
-from repro.sequences.trie import SequenceTrie
 from repro.sequences.windows import iter_windows, window_count, windows_array
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "ForeignSequenceAnalyzer",
     "FrequencySpectrum",
     "NgramStore",
-    "SequenceTrie",
     "conditional_entropy",
     "frequency_spectrum",
     "is_foreign",

@@ -129,9 +129,7 @@ class ForeignSequenceAnalyzer:
 
     def store_for(self, *lengths: int) -> NgramStore:
         """Return the backing store, indexing ``lengths`` (building as needed)."""
-        missing = [length for length in lengths if length not in self._store.lengths]
-        if missing:
-            self._store.merge_disjoint(NgramStore.from_stream(self._stream, missing))
+        self._store.index(*lengths)
         return self._store
 
     # -- single-sequence queries ----------------------------------------------
@@ -169,11 +167,15 @@ class ForeignSequenceAnalyzer:
                 subsequence is itself foreign.
         """
         key = tuple(int(code) for code in sequence)
-        store = self.store_for(*range(1, len(key) + 1))
+        lengths = range(1, len(key) + 1)
+        store = self.store_for(*lengths)
         if store.contains(key):
             raise WindowError(f"sequence {key} occurs in training; not foreign")
-        for sub in proper_subsequences(key):
-            if not store.contains(sub):
+        counts = store.window_counts(np.asarray(key), *lengths)
+        for length in lengths[:-1]:  # proper_subsequences order
+            absent = np.flatnonzero(counts[length] == 0)
+            if len(absent):
+                sub = key[absent[0] : absent[0] + length]
                 raise WindowError(
                     f"proper subsequence {sub} of {key} is foreign; {key} is not minimal"
                 )
@@ -203,24 +205,24 @@ class ForeignSequenceAnalyzer:
         if length < 2:
             raise WindowError(f"MFS length must be >= 2, got {length}")
         store = self.store_for(length, length - 1)
-        part_length = length - 1
         if rare_parts_only:
-            parts = set(store.rare_ngrams(part_length, self._rare_threshold))
+            parts = store.rare_ngrams(length - 1, self._rare_threshold)
         else:
-            parts = set(store.ngrams(part_length))
-        # Index candidate right-parts by their (n-2)-prefix for O(1) joins.
+            parts = list(store.ngrams(length - 1))
+        # Parts come in lexicographic order, so indexing the right parts
+        # by their (n-2)-prefix keeps the joins in lexicographic order.
         by_prefix: dict[Ngram, list[Ngram]] = {}
         for part in parts:
             by_prefix.setdefault(part[:-1], []).append(part)
-        results: list[Ngram] = []
-        for left in sorted(parts):
-            for right in sorted(by_prefix.get(left[1:], ())):
-                candidate = left + (right[-1],)
-                if not store.contains(candidate):
-                    results.append(candidate)
-                    if limit is not None and len(results) >= limit:
-                        return results
-        return results
+        joins = [
+            left + (right[-1],)
+            for left in parts
+            for right in by_prefix.get(left[1:], ())
+        ]
+        probes = np.asarray(joins, dtype=np.int64).reshape(-1, length)
+        counts = store.window_counts(probes, length)[length][:, 0]
+        results = [join for join, count in zip(joins, counts.tolist()) if count == 0]
+        return results if limit is None else results[:limit]
 
 
 def minimal_foreign_sequences(

@@ -1,22 +1,29 @@
-"""Exact n-gram occurrence counts over categorical streams.
+"""Exact n-gram occurrence counts over one categorical stream.
 
-An :class:`NgramStore` records, for one or more window lengths, how many
+An :class:`NgramStore` records, for selected window lengths, how many
 times each fixed-length sequence occurs in a stream.  It answers the
-three questions the paper's machinery asks constantly:
+two questions the paper's machinery asks constantly:
 
 * *does this sequence exist in training?* (foreignness, Stide's test);
 * *how often, relative to all windows of its length?* (rarity — the
-  paper defines rare as relative frequency below 0.5%);
-* *what follows this context, and with what probability?* (the Markov
-  detector's conditional probabilities).
+  paper defines rare as relative frequency below 0.5%).
 
-Counting is vectorized with NumPy: all windows of a length are
-materialized as a strided 2-D view and reduced with ``np.unique``.
+The counts come from one chain of orders (DESIGN S53), built by the
+counting refinement that also builds
+:class:`~repro.runtime.fitindex.TrainingIndex` levels (DESIGN S52).
+Order 1 keeps the sorted distinct symbols.  Order ``L`` keys the window
+starting at ``i`` as ``group_{L-1}[i] * span + rank[i + L - 1]``, where
+``rank`` is a symbol's order-1 group and ``span`` the number of
+distinct symbols, and keeps its sorted distinct keys with their counts
+and first starts.  A probe walks the same chain: one ``np.searchsorted``
+per order, with -1 carried through once a prefix is absent.  Every
+query is a batched array lookup, and neither symbol values nor window
+lengths are bounded by a packing budget.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,130 +33,209 @@ from repro.sequences.windows import windows_array
 Ngram = tuple[int, ...]
 
 
-def _count_windows(stream: np.ndarray, length: int) -> dict[Ngram, int]:
-    """Return exact occurrence counts of every ``length``-window."""
-    if len(stream) < length:
-        return {}
-    view = windows_array(stream, length)
-    unique_rows, counts = np.unique(view, axis=0, return_counts=True)
-    return {
-        tuple(int(code) for code in row): int(count)
-        for row, count in zip(unique_rows, counts)
-    }
+def count_keys(
+    keys: np.ndarray, space: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(inverse, counts, first)`` of the integer ``keys`` in ``[0, space)``.
+
+    Groups are the distinct keys in ascending order, each first seen
+    at its smallest position — exactly what ``np.unique(keys,
+    return_index=True, return_inverse=True, return_counts=True)``
+    returns.  A dense count when ``space`` is no larger than the number
+    of keys, else one 1-D ``np.unique`` (DESIGN S52).
+    """
+    n = len(keys)
+    if space <= n:  # a dense table no larger than the keys
+        table = np.bincount(keys, minlength=space)
+        present = table > 0
+        inverse = (np.cumsum(present) - 1)[keys]
+        first = np.full(space, n, dtype=np.int64)
+        np.minimum.at(first, keys, np.arange(n))
+        return inverse, table[present], first[present]
+    _keys, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return inverse, counts, first
 
 
 class NgramStore:
-    """Occurrence counts of fixed-length sequences at selected lengths.
+    """Occurrence counts of fixed-length sequences of one stream.
 
     The store indexes a set of window lengths; queries at an unindexed
     length raise :class:`~repro.exceptions.WindowError` rather than
     silently returning zero, because "never counted" and "counted zero
     times" mean very different things for foreignness tests.
-
-    Use :meth:`from_stream` to build a store, or construct an empty one
-    and feed it with :meth:`update`.
+    :meth:`index` adds lengths later, extending the chain from the
+    highest order already built.
 
     Args:
         lengths: the window lengths to index; each must be positive.
+        stream: the 1-D stream to count (empty by default: every count
+            is zero).
     """
 
-    def __init__(self, lengths: Iterable[int]) -> None:
-        length_tuple = tuple(sorted(set(int(length) for length in lengths)))
-        if not length_tuple:
+    def __init__(
+        self, lengths: Iterable[int], stream: Sequence[int] | np.ndarray = ()
+    ) -> None:
+        data = np.asarray(stream)
+        if data.ndim != 1:
+            raise WindowError(f"stream must be one-dimensional, got shape {data.shape}")
+        self._stream = data if data.size else data.astype(np.int64)
+        # Per order L (list index L - 1): the sorted distinct keys, the
+        # counts with a trailing 0 (so an absent probe's group -1 reads
+        # 0), and each group's first start.
+        self._keys: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        self._first: list[np.ndarray] = []
+        # Group of every window at the highest built order: the only
+        # per-window array kept, so that :meth:`index` can extend.
+        self._inverse = np.zeros(0, dtype=np.int64)
+        self._lengths: tuple[int, ...] = ()
+        lengths = tuple(lengths)
+        if not lengths:
             raise WindowError("an NgramStore requires at least one window length")
-        if length_tuple[0] <= 0:
-            raise WindowError(f"window lengths must be positive, got {length_tuple[0]}")
-        self._counts: dict[int, dict[Ngram, int]] = {length: {} for length in length_tuple}
-        self._totals: dict[int, int] = {length: 0 for length in length_tuple}
+        self.index(*lengths)
 
     @classmethod
     def from_stream(
         cls, stream: Sequence[int] | np.ndarray, lengths: Iterable[int]
     ) -> "NgramStore":
         """Build a store by counting all windows of ``lengths`` in ``stream``."""
-        store = cls(lengths)
-        store.update(stream)
-        return store
+        return cls(lengths, stream)
 
-    def update(self, stream: Sequence[int] | np.ndarray) -> None:
-        """Add the windows of another stream to the counts.
+    def index(self, *lengths: int) -> None:
+        """Index ``lengths`` as well, counting any order not yet built."""
+        fresh = {int(length) for length in lengths}
+        if fresh and min(fresh) <= 0:
+            raise WindowError(f"window lengths must be positive, got {min(fresh)}")
+        self._lengths = tuple(sorted(set(self._lengths) | fresh))
+        top = max(self._lengths, default=0)
+        if len(self._keys) >= top:
+            return
+        ranks = None
+        if self._keys:
+            ranks = np.searchsorted(self._keys[0], self._stream)
+        while len(self._keys) < top:
+            ranks = self._extend(ranks)
 
-        Streams added separately are treated as independent traces: no
-        windows spanning the junction between two streams are counted,
-        matching how multiple traces (e.g. per-process system-call
-        traces) are conventionally pooled.
-        """
-        data = np.asarray(stream)
-        if data.ndim != 1:
-            raise WindowError(f"stream must be one-dimensional, got shape {data.shape}")
-        for length in self._counts:
-            fresh = _count_windows(data, length)
-            if not fresh:
-                continue
-            bucket = self._counts[length]
-            for ngram, count in fresh.items():
-                bucket[ngram] = bucket.get(ngram, 0) + count
-            self._totals[length] += max(0, len(data) - length + 1)
-
-    def merge_disjoint(self, other: "NgramStore") -> None:
-        """Absorb another store's tables for lengths this store lacks.
-
-        Both stores must have counted the *same* underlying data for
-        the merge to be meaningful; the caller owns that contract.
-        Used to extend a store with new window lengths without
-        re-counting the lengths it already indexes.
-
-        Raises:
-            WindowError: if the stores share any indexed length.
-        """
-        shared = set(self._counts) & set(other._counts)
-        if shared:
-            raise WindowError(
-                f"cannot merge stores sharing indexed lengths {sorted(shared)}"
+    def _extend(self, ranks: np.ndarray | None) -> np.ndarray:
+        """Count order ``L = built + 1`` from order ``L - 1``; returns ``ranks``."""
+        order = len(self._keys) + 1
+        n = len(self._stream) - order + 1
+        if ranks is None:  # order 1: the distinct symbols themselves
+            keys, first, inverse, counts = np.unique(
+                self._stream, return_index=True, return_inverse=True, return_counts=True
             )
-        self._counts.update(other._counts)
-        self._totals.update(other._totals)
-        self._counts = dict(sorted(self._counts.items()))
-        self._totals = dict(sorted(self._totals.items()))
+            inverse = ranks = inverse.reshape(-1)
+        elif n < 1:
+            keys = counts = first = inverse = np.zeros(0, dtype=np.int64)
+        else:
+            span = len(self._keys[0])
+            keys = self._inverse[:n] * span + ranks[order - 1 :]
+            inverse, counts, first = count_keys(keys, len(self._keys[-1]) * span)
+            keys = keys[first]
+        self._keys.append(keys)
+        self._counts.append(np.append(counts, 0))
+        self._first.append(first)
+        self._inverse = inverse
+        return ranks
 
     # -- basic introspection -------------------------------------------------
 
     @property
     def lengths(self) -> tuple[int, ...]:
         """The indexed window lengths, ascending."""
-        return tuple(self._counts)
+        return self._lengths
 
-    def _bucket(self, length: int) -> dict[Ngram, int]:
-        try:
-            return self._counts[length]
-        except KeyError:
+    def _check(self, length: int) -> None:
+        if length not in self._lengths:
             raise WindowError(
                 f"length {length} is not indexed by this store (indexed: {self.lengths})"
-            ) from None
+            )
 
     def total(self, length: int) -> int:
-        """Total number of windows of ``length`` counted so far."""
-        self._bucket(length)
-        return self._totals[length]
+        """Total number of windows of ``length`` counted."""
+        self._check(length)
+        return max(0, len(self._stream) - length + 1)
 
     def distinct(self, length: int) -> int:
         """Number of distinct ``length``-grams observed."""
-        return len(self._bucket(length))
+        self._check(length)
+        return len(self._first[length - 1])
 
-    def ngrams(self, length: int) -> Iterable[Ngram]:
-        """Iterate over the distinct ``length``-grams observed."""
-        return iter(self._bucket(length))
+    def rows(self, length: int) -> np.ndarray:
+        """The distinct ``length``-grams as rows, in lexicographic order."""
+        self._check(length)
+        first = self._first[length - 1]
+        if not len(first):
+            return np.zeros((0, length), dtype=self._stream.dtype)
+        return windows_array(self._stream, length)[first]
+
+    def ngrams(self, length: int) -> Iterator[Ngram]:
+        """Iterate over the distinct ``length``-grams, lexicographically."""
+        return map(tuple, self.rows(length).tolist())
 
     def counts(self, length: int) -> Mapping[Ngram, int]:
-        """Read-only view of the count table for ``length``."""
-        return dict(self._bucket(length))
+        """The count table for ``length``, in lexicographic order (a copy)."""
+        counts = self._counts[length - 1][:-1].tolist()
+        return dict(zip(self.ngrams(length), counts))
+
+    # -- batched lookup --------------------------------------------------------
+
+    def _find(self, order: int, keys: np.ndarray) -> np.ndarray:
+        """Group of each key at ``order``, or -1 where the key is absent."""
+        table = self._keys[order - 1]
+        if not len(table):
+            return np.full(keys.shape, -1, dtype=np.int64)
+        position = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        return np.where(table[position] == keys, position, -1)
+
+    def _walk(self, data: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(L, groups)`` for ``L = 1..top`` along ``data``'s last axis.
+
+        ``groups[..., i]`` is the order-``L`` group of the window
+        starting at ``i``, or -1 when that window never occurs.
+        """
+        ranks = groups = self._find(1, data)
+        yield 1, groups
+        span = len(self._keys[0])
+        for order in range(2, top + 1):
+            previous, symbol = groups[..., :-1], ranks[..., order - 1 :]
+            found = self._find(order, previous * span + symbol)
+            groups = np.where((previous >= 0) & (symbol >= 0), found, -1)
+            yield order, groups
+
+    def window_counts(
+        self, data: Sequence[int] | np.ndarray, *lengths: int
+    ) -> dict[int, np.ndarray]:
+        """Counts of every window of each of ``lengths`` in ``data``.
+
+        Windows slide along the last axis: ``result[L][..., i]`` is the
+        number of occurrences of ``data[..., i : i + L]`` in the stream.
+        A 1-D ``data`` is one probe stream; a 2-D ``data`` of shape
+        ``(k, L)`` is ``k`` probes, counted in ``result[L][:, 0]``.
+        All lengths share one walk up the chain.
+
+        Raises:
+            WindowError: if some length is not indexed.
+        """
+        for length in lengths:
+            self._check(length)
+        wanted = set(lengths)
+        counts: dict[int, np.ndarray] = {}
+        if not wanted:
+            return counts
+        for order, groups in self._walk(np.asarray(data), max(wanted)):
+            if order in wanted:
+                counts[order] = self._counts[order - 1][groups]
+        return counts
 
     # -- membership, frequency, rarity ---------------------------------------
 
     def count(self, ngram: Sequence[int]) -> int:
         """Occurrences of ``ngram`` (0 if never observed)."""
-        key = tuple(int(code) for code in ngram)
-        return self._bucket(len(key)).get(key, 0)
+        probe = np.asarray(tuple(int(code) for code in ngram), dtype=np.int64)
+        return int(self.window_counts(probe, len(probe))[len(probe)][0])
 
     def contains(self, ngram: Sequence[int]) -> bool:
         """Whether ``ngram`` occurred at least once (i.e. is not foreign)."""
@@ -179,43 +265,16 @@ class NgramStore:
 
         This is the paper's rarity criterion (Section 5.3): a rare
         sequence has relative frequency under 0.5% in training.
+        Returned in lexicographic order.
         """
         total = self.total(length)
         if total == 0:
             return []
-        bound = threshold * total
-        return [ngram for ngram, count in self._bucket(length).items() if count < bound]
-
-    def common_ngrams(self, length: int, threshold: float) -> list[Ngram]:
-        """Observed ``length``-grams at or above the rarity ``threshold``."""
-        total = self.total(length)
-        if total == 0:
-            return []
-        bound = threshold * total
-        return [ngram for ngram, count in self._bucket(length).items() if count >= bound]
-
-    # -- conditional structure (Markov support) ------------------------------
-
-    def successor_counts(self, context: Sequence[int]) -> dict[int, int]:
-        """Counts of each symbol observed immediately after ``context``.
-
-        Requires the store to index length ``len(context) + 1``; the
-        distribution is read off the ``(len(context)+1)``-gram table.
-
-        Raises:
-            WindowError: if ``len(context) + 1`` is not indexed.
-        """
-        prefix = tuple(int(code) for code in context)
-        span = len(prefix) + 1
-        bucket = self._bucket(span)
-        successors: dict[int, int] = {}
-        for ngram, count in bucket.items():
-            if ngram[:-1] == prefix:
-                successors[ngram[-1]] = successors.get(ngram[-1], 0) + count
-        return successors
+        rare = self._counts[length - 1][:-1] < threshold * total
+        return list(map(tuple, self.rows(length)[rare].tolist()))
 
     def __repr__(self) -> str:
         sizes = ", ".join(
-            f"{length}:{len(bucket)}" for length, bucket in self._counts.items()
+            f"{length}:{self.distinct(length)}" for length in self.lengths
         )
         return f"NgramStore(lengths->distinct: {{{sizes}}})"

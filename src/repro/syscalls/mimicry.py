@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import DataGenerationError
 from repro.sequences.ngram_store import NgramStore
 
@@ -57,10 +59,8 @@ def window_is_normal(
     """Whether every complete ``window_length``-gram of ``window`` is known."""
     if len(window) < window_length:
         return True
-    return all(
-        store.contains(window[i : i + window_length])
-        for i in range(len(window) - window_length + 1)
-    )
+    counts = store.window_counts(np.asarray(window), window_length)[window_length]
+    return bool(counts.all())
 
 
 def pad_to_mimic(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +14,15 @@ from repro.exceptions import WindowError
 from repro.sequences.ngram_store import NgramStore
 
 STREAM = [0, 1, 2, 0, 1, 2, 0, 1, 3]
+
+
+def naive_counts(stream, length: int) -> dict[tuple[int, ...], int]:
+    """Window counts by a plain dict, in lexicographic order."""
+    counted = Counter(
+        tuple(int(code) for code in stream[start : start + length])
+        for start in range(len(stream) - length + 1)
+    )
+    return dict(sorted(counted.items()))
 
 
 class TestConstruction:
@@ -29,9 +41,9 @@ class TestConstruction:
         store = NgramStore.from_stream(STREAM, [2])
         assert store.count((0, 1)) == 3
 
-    def test_update_rejects_2d(self):
+    def test_from_stream_rejects_2d(self):
         with pytest.raises(WindowError, match="one-dimensional"):
-            NgramStore([2]).update(np.zeros((2, 2)))
+            NgramStore.from_stream(np.zeros((2, 2)), [2])
 
 
 class TestCounts:
@@ -70,18 +82,22 @@ class TestCounts:
         for length in store.lengths:
             assert sum(store.counts(length).values()) == store.total(length)
 
-    def test_multiple_streams_do_not_count_junctions(self):
-        store = NgramStore([2])
-        store.update([0, 1])
-        store.update([2, 3])
-        assert store.count((1, 2)) == 0
-        assert store.total(2) == 2
+    def test_counts_match_naive_in_lexicographic_order(self, store: NgramStore):
+        for length in store.lengths:
+            assert list(store.counts(length).items()) == list(
+                naive_counts(STREAM, length).items()
+            )
 
-    def test_update_accumulates(self):
-        store = NgramStore([2])
-        store.update([0, 1])
-        store.update([0, 1])
-        assert store.count((0, 1)) == 2
+    def test_stream_shorter_than_length_counts_nothing(self):
+        store = NgramStore.from_stream([4, 5], [1, 3, 4])
+        assert store.total(3) == 0
+        assert store.distinct(3) == 0
+        assert store.counts(4) == {}
+        assert store.count((4, 5, 4)) == 0
+        assert store.count((4,)) == 1
+
+    def test_repr_mentions_lengths(self):
+        assert "2" in repr(NgramStore.from_stream(STREAM, [2]))
 
 
 class TestFrequencies:
@@ -104,48 +120,76 @@ class TestFrequencies:
         assert (1, 3) in rare  # occurs once out of 8 windows
         assert (0, 1) not in rare
 
-    def test_common_ngrams_complement_rare(self, store: NgramStore):
-        threshold = 0.2
-        rare = set(store.rare_ngrams(2, threshold))
-        common = set(store.common_ngrams(2, threshold))
-        assert rare | common == set(store.ngrams(2))
-        assert not rare & common
-
     def test_rare_ngrams_empty_store(self):
         assert NgramStore([2]).rare_ngrams(2, 0.5) == []
 
 
-class TestSuccessors:
-    def test_successor_counts(self):
-        store = NgramStore.from_stream(STREAM, [1, 2])
-        assert store.successor_counts((0,)) == {1: 3}
-        assert store.successor_counts((1,)) == {2: 2, 3: 1}
-
-    def test_successor_counts_unknown_context(self):
+class TestIndex:
+    def test_index_adds_new_lengths(self):
         store = NgramStore.from_stream(STREAM, [2])
-        assert store.successor_counts((7,)) == {}
+        store.index(3)
+        assert store.lengths == (2, 3)
+        assert store.count((0, 1, 2)) == 2
 
-    def test_successor_counts_requires_indexed_span(self):
-        store = NgramStore.from_stream(STREAM, [2])
+    def test_index_rejects_nonpositive_lengths(self):
+        with pytest.raises(WindowError, match="positive"):
+            NgramStore.from_stream(STREAM, [2]).index(-1)
+
+    def test_extension_equals_a_fresh_build(self):
+        rng = np.random.default_rng(3)
+        stream = rng.integers(0, 5, size=400)
+        grown = NgramStore.from_stream(stream, [2])
+        grown.index(4)
+        grown.index(7, 9)
+        fresh = NgramStore.from_stream(stream, [2, 4, 7, 9])
+        for length in (2, 4, 7, 9):
+            assert grown.counts(length) == fresh.counts(length)
+            np.testing.assert_array_equal(grown.rows(length), fresh.rows(length))
+
+    def test_keeps_one_per_window_array(self):
+        """Fifteen orders over 60k events hold about one window array,
+        not one per order (15 int64 arrays would be 7.2 MB)."""
+        stream = np.tile(np.arange(8), 7_500)
+        stream[::97] = 3
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = NgramStore.from_stream(stream, range(1, 16))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert store.distinct(15) > 8
+        assert held < 2 * stream.nbytes
+
+
+class TestWindowCounts:
+    @pytest.fixture()
+    def store(self) -> NgramStore:
+        return NgramStore.from_stream(STREAM, [1, 2, 3])
+
+    def test_counts_every_window_of_a_probe_stream(self, store: NgramStore):
+        probe = np.asarray([0, 1, 2, 2, 0, 1, 3, 7])
+        counts = store.window_counts(probe, 2, 3)
+        for length in (2, 3):
+            expected = naive_counts(STREAM, length)
+            assert counts[length].tolist() == [
+                expected.get(tuple(probe[i : i + length].tolist()), 0)
+                for i in range(len(probe) - length + 1)
+            ]
+
+    def test_rows_of_a_2d_probe_are_separate(self, store: NgramStore):
+        probes = np.asarray([[0, 1, 2], [1, 2, 0], [2, 2, 2], [9, 0, 1]])
+        assert store.window_counts(probes, 3)[3][:, 0].tolist() == [2, 2, 0, 0]
+
+    def test_unindexed_length_raises(self, store: NgramStore):
         with pytest.raises(WindowError, match="not indexed"):
-            store.successor_counts((0, 1))
+            store.window_counts(np.asarray(STREAM), 4)
+
+    def test_probe_shorter_than_length_has_no_windows(self, store: NgramStore):
+        assert store.window_counts(np.asarray([0, 1]), 3)[3].shape == (0,)
 
 
-class TestMergeDisjoint:
-    def test_merge_adds_new_lengths(self):
-        base = NgramStore.from_stream(STREAM, [2])
-        extension = NgramStore.from_stream(STREAM, [3])
-        base.merge_disjoint(extension)
-        assert base.lengths == (2, 3)
-        assert base.count((0, 1, 2)) == 2
-
-    def test_merge_rejects_shared_lengths(self):
-        base = NgramStore.from_stream(STREAM, [2])
-        with pytest.raises(WindowError, match="sharing"):
-            base.merge_disjoint(NgramStore.from_stream(STREAM, [2, 4]))
-
-    def test_repr_mentions_lengths(self):
-        assert "2" in repr(NgramStore.from_stream(STREAM, [2]))
+SPARSE = (-5, 3, 10**12)
 
 
 @given(
@@ -158,12 +202,40 @@ def test_counts_sum_to_window_count_property(stream: list[int], length: int):
     assert sum(store.counts(length).values()) == max(0, len(stream) - length + 1)
 
 
-@given(st.lists(st.integers(0, 3), min_size=2, max_size=60))
-def test_successors_consistent_with_counts(stream: list[int]):
-    """Successor counts of a context sum to occurrences of extendable context."""
-    store = NgramStore.from_stream(stream, [1, 2])
-    for symbol in range(4):
-        successors = store.successor_counts((symbol,))
-        # Context occurrences that can extend = occurrences not at stream end.
-        extendable = stream[:-1].count(symbol)
-        assert sum(successors.values()) == extendable
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=60),
+        st.lists(st.sampled_from(SPARSE), max_size=60),
+        st.lists(st.integers(0, 63), max_size=60),
+    ),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+)
+def test_counts_match_a_naive_dict(stream: list[int], lengths: list[int]):
+    """Every table, total and count equals a plain dict count, including
+    sparse symbols near 1e12 and streams shorter than the length."""
+    store = NgramStore.from_stream(stream, lengths)
+    for length in set(lengths):
+        expected = naive_counts(stream, length)
+        assert list(store.counts(length).items()) == list(expected.items())
+        assert store.total(length) == max(0, len(stream) - length + 1)
+        assert store.distinct(length) == len(expected)
+        for ngram, count in expected.items():
+            assert store.count(ngram) == count
+
+
+@given(
+    st.lists(st.sampled_from(SPARSE), min_size=1, max_size=50),
+    st.lists(st.sampled_from((*SPARSE, 0)), max_size=40),
+    st.integers(1, 7),
+)
+def test_window_counts_match_a_naive_dict(
+    stream: list[int], probe: list[int], length: int
+):
+    """Batched counts of every probe window equal per-window dict lookups."""
+    store = NgramStore.from_stream(stream, [length])
+    expected = naive_counts(stream, length)
+    counts = store.window_counts(np.asarray(probe, dtype=np.int64), length)[length]
+    assert counts.tolist() == [
+        expected.get(tuple(probe[start : start + length]), 0)
+        for start in range(len(probe) - length + 1)
+    ]
