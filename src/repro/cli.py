@@ -98,13 +98,6 @@ def _store_arguments(parser: argparse.ArgumentParser) -> None:
         help="size cap for --store; least-recently-used entries are "
         "evicted once the cap is exceeded",
     )
-    parser.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="keep store-backed runs bit-reproducible: iterative "
-        "detectors always train from scratch instead of warm-starting "
-        "from an adjacent window length's weights",
-    )
 
 
 def _telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -271,7 +264,6 @@ def _engine(args: argparse.Namespace) -> "object":
         max_workers=getattr(args, "jobs", 1) or 1,
         resilience=resilience,
         store=store,
-        warm_start=False if getattr(args, "no_warm_start", False) else None,
         telemetry=_telemetry(args),
     )
 
@@ -331,8 +323,7 @@ def _cmd_maps(args: argparse.Namespace) -> int:
     elif engine.store is not None:
         stats = engine.last_fit_stats
         print(
-            f"fits: {stats.computed} computed / {stats.from_store} from "
-            f"store / {stats.warm_started} warm"
+            f"fits: {stats.computed} computed / {stats.from_store} from store"
         )
     if len(detectors) >= 2:
         print()

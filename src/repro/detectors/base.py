@@ -23,11 +23,7 @@ import numpy as np
 
 from repro.exceptions import DetectorConfigurationError, NotFittedError, WindowError
 from repro.runtime import telemetry
-from repro.runtime.fitindex import (
-    FitRecord,
-    WarmStartPolicy,
-    WarmStartRegistry,
-)
+from repro.runtime.fitindex import FitRecord
 from repro.runtime.store import fit_key, streams_digest
 from repro.sequences.windows import pack_windows, window_count, windows_array
 
@@ -54,12 +50,6 @@ class AnomalyDetector(abc.ABC):
     #: Human-readable detector family name; subclasses override.
     name: str = "abstract"
 
-    #: Whether this family acts on :meth:`attach_warm_start`.  Only
-    #: warm-capable families mark warm mode in their store fingerprint
-    #: (a warm-trained state is a different artifact than a cold one);
-    #: closed-form fits are mode-independent and share entries.
-    _warm_capable: bool = False
-
     def __init__(
         self,
         window_length: int,
@@ -84,10 +74,6 @@ class AnomalyDetector(abc.ABC):
         self._state = FittedState.UNFITTED
         self._window_cache: object | None = None
         self._store: object | None = None
-        self._warm_policy: WarmStartPolicy | None = None
-        self._warm_registry: WarmStartRegistry | None = None
-        self._training_digest: str | None = None
-        self._fit_hint: FitRecord | None = None
         self._last_fit_report: FitRecord | None = None
 
     # -- configuration ---------------------------------------------------------
@@ -149,62 +135,35 @@ class AnomalyDetector(abc.ABC):
         self._store = store
         return self
 
-    def attach_warm_start(
-        self,
-        policy: WarmStartPolicy | None,
-        registry: WarmStartRegistry | None = None,
-    ) -> "AnomalyDetector":
-        """Allow iterative fits to warm-start from adjacent-DW donors.
-
-        Only the iterative families (neural network) act on this; the
-        closed-form detectors fit exactly as before.  Pass ``None`` to
-        disable — the ``--no-warm-start`` escape hatch for
-        bit-reproducible paper-fidelity runs.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        self._warm_policy = policy
-        self._warm_registry = registry if policy is not None else None
-        return self
-
     @property
     def last_fit_report(self) -> FitRecord | None:
         """How the most recent :meth:`fit_many` obtained its fit."""
         return self._last_fit_report
 
-    def config_fingerprint(self, window_length: int | None = None) -> str:
+    def config_fingerprint(self) -> str:
         """Canonical description of everything that shapes the fit.
 
         Concatenates the family name, window length, alphabet size and
         the family's hyperparameters (:meth:`_extra_fingerprint`); fed
         into :func:`repro.runtime.store.fit_key` together with the
-        training-stream digest.  ``window_length`` overrides the
-        detector's own DW — used to address a neighbor's store entry
-        when hunting warm-start donors.
+        training-stream digest.
         """
-        length = self._window_length if window_length is None else window_length
         parts = [
             f"family={self.name}",
-            f"dw={length}",
+            f"dw={self._window_length}",
             f"as={self._alphabet_size}",
             f"tol={self._response_tolerance!r}",
         ]
         extra = self._extra_fingerprint()
         if extra:
             parts.append(extra)
-        if self._warm_capable and self._warm_policy is not None:
-            # A warm-trained state is a different artifact than a cold
-            # one; keep the two address spaces disjoint so
-            # --no-warm-start runs never load warm-trained weights.
-            parts.append("warm=1")
         return ";".join(parts)
 
     def family_fingerprint(self) -> str:
         """:meth:`config_fingerprint` minus the window length.
 
-        The warm-start registry key: donors are shared across window
-        lengths of the same family and hyperparameters.
+        Identifies a family and its hyperparameters across every window
+        length of a sweep (experiment plans fingerprint stages by it).
         """
         parts = [
             f"family={self.name}",
@@ -363,7 +322,6 @@ class AnomalyDetector(abc.ABC):
         """
         if not self._load_fit_state(dict(state)):
             return False
-        self._training_digest = None
         self._state = FittedState.FITTED
         return True
 
@@ -414,11 +372,9 @@ class AnomalyDetector(abc.ABC):
     def _note_delta_update(self) -> None:
         """Bookkeeping after a successful in-place delta merge.
 
-        The training-stream digest is stale after the merge —
-        delta-updated state is persisted by the caller's own keying
+        Delta-updated state is persisted by the caller's own keying
         (e.g. the sharded fleet store), not the fit-key protocol.
         """
-        self._training_digest = None
         telemetry.count("detector.delta_update")
 
     # -- training ----------------------------------------------------------------
@@ -458,36 +414,26 @@ class AnomalyDetector(abc.ABC):
         return self
 
     def _resolve_fit(self, usable: list[np.ndarray]) -> FitRecord:
-        """Obtain the fitted state: from the store, warm, or cold.
+        """Obtain the fitted state: from the store, or by fitting.
 
         The store lookup happens here so every family gets persistence
-        for free; the warm-start attempt happens inside the iterative
-        families' ``_fit`` (they know their own loss), which reports
-        back through ``self._fit_hint``.
+        for free: a hit loads the stored state, a miss fits and writes
+        the state back.  Either way the fitted model is a function of
+        the training streams and the configuration alone.
         """
         store = self._store
-        key: str | None = None
-        if store is not None or self._warm_registry is not None:
-            # One digest serves the store key and the warm-donor key.
-            self._training_digest = streams_digest(usable)
-        if store is not None:
-            key = fit_key(self._training_digest, self.config_fingerprint())
-            held = store.get(key)  # type: ignore[attr-defined]
-            if held is not None and self._load_fit_state(held):
-                return FitRecord(origin="store", store_key=key)
-        self._fit_hint = None
+        if store is None:
+            self._fit(usable)
+            return FitRecord()
+        key = fit_key(streams_digest(usable), self.config_fingerprint())
+        held = store.get(key)  # type: ignore[attr-defined]
+        if held is not None and self._load_fit_state(held):
+            return FitRecord(origin="store", store_key=key)
         self._fit(usable)
-        hint = self._fit_hint or FitRecord()
-        if store is not None:
-            state = self._fit_state()
-            if state is not None:
-                store.put(key, state)  # type: ignore[attr-defined]
-        return FitRecord(
-            origin=hint.origin,
-            store_key=key,
-            warm_donor_window=hint.warm_donor_window,
-            warm_disabled=hint.warm_disabled,
-        )
+        state = self._fit_state()
+        if state is not None:
+            store.put(key, state)  # type: ignore[attr-defined]
+        return FitRecord(store_key=key)
 
     def _validated(self, stream: Sequence[int] | np.ndarray) -> np.ndarray:
         """Canonical int64 view of ``stream``, alphabet-checked.

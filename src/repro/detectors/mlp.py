@@ -126,8 +126,8 @@ class NextSymbolMlp:
     def export_weights(self) -> dict[str, np.ndarray]:
         """Copies of the current parameters, keyed ``w1/b1/w2/b2``.
 
-        The serialization behind the artifact store and warm-start
-        donation: loading the export back (same dimensions) restores a
+        The serialization behind the artifact store and the fleet
+        store: loading the export back (same dimensions) restores a
         network whose predictions are bit-identical.
         """
         return {name: view.copy() for name, view in self._views().items()}
@@ -164,7 +164,6 @@ class NextSymbolMlp:
         inputs: np.ndarray,
         targets: np.ndarray,
         sample_weights: np.ndarray,
-        epochs: int | None = None,
     ) -> float:
         """Fit with weighted cross-entropy; returns the trained loss.
 
@@ -180,9 +179,6 @@ class NextSymbolMlp:
             targets: (n,) integer next-symbol codes.
             sample_weights: (n,) non-negative weights (occurrence
                 counts); normalized internally.
-            epochs: override of the configured epoch cap — the
-                warm-start path continues from donor weights with a
-                reduced budget instead of the full cold schedule.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -195,7 +191,7 @@ class NextSymbolMlp:
             raise DetectorConfigurationError("sample weights must sum to > 0")
         weights = weights / weights.sum()
         config = self._config
-        budget = config.epochs if epochs is None else max(1, int(epochs))
+        budget = config.epochs
         layer1, layer2, params = self._layer1, self._layer2, self._params
         n, hidden, output_dim = len(inputs), layer1.shape[1], layer2.shape[1]
         # Folded operands: the constant-1 columns multiply the bias rows.

@@ -27,12 +27,10 @@ import numpy as np
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.mlp import MlpConfig, NextSymbolMlp
 from repro.exceptions import DetectorConfigurationError
-from repro.runtime.fitindex import FitRecord
-from repro.runtime.store import fit_key
 
 #: Version of the :meth:`NextSymbolMlp.train` algorithm, part of every
-#: fit fingerprint: stored fits and warm-start donors trained by a
-#: different algorithm are never loaded.
+#: fit fingerprint: stored fits trained by a different algorithm are
+#: never loaded.
 KERNEL_VERSION = 2
 
 
@@ -50,7 +48,6 @@ class NeuralDetector(AnomalyDetector):
     """
 
     name = "neural-network"
-    _warm_capable = True
 
     def __init__(
         self,
@@ -114,19 +111,17 @@ class NeuralDetector(AnomalyDetector):
         weights = counts.astype(float)
         contexts = windows[:, :-1]
         targets = windows[:, -1]
-        encoded = self._one_hot_contexts(contexts)
-        network = self._warm_fit(encoded, targets, weights)
-        if network is None:
-            network = NextSymbolMlp(
-                input_dim=(self.window_length - 1) * self.alphabet_size,
-                output_dim=self.alphabet_size,
-                config=self._config,
-            )
-            self._final_loss = network.train(encoded, targets, weights)
+        network = NextSymbolMlp(
+            input_dim=(self.window_length - 1) * self.alphabet_size,
+            output_dim=self.alphabet_size,
+            config=self._config,
+        )
+        self._final_loss = network.train(
+            self._one_hot_contexts(contexts), targets, weights
+        )
         self._network = network
-        self._offer_donor()
 
-    # -- warm-start machinery --------------------------------------------------
+    # -- persistence -------------------------------------------------------------
 
     def _extra_fingerprint(self) -> str:
         c = self._config
@@ -156,121 +151,6 @@ class NeuralDetector(AnomalyDetector):
         self._network = network
         self._final_loss = float(np.asarray(state["final_loss"]))
         return True
-
-    def _adapt_donor(
-        self, state: dict[str, np.ndarray], donor_window: int
-    ) -> dict[str, np.ndarray] | None:
-        """Reshape donor first-layer weights from an adjacent DW.
-
-        Context one-hot layout is per-position blocks of size ``AS``,
-        position ``DW - 2`` adjacent to the predicted symbol.  Blocks
-        are aligned by distance to the target: growing the window
-        prepends a zero block for the new most-distant position, so
-        the adapted network initially computes exactly the donor's
-        function of the shared context suffix; shrinking drops the
-        donor's most-distant block.
-        """
-        hidden = self._config.hidden_units
-        target_rows = (self.window_length - 1) * self.alphabet_size
-        try:
-            w1 = np.asarray(state["w1"], dtype=np.float64)
-            b1 = np.asarray(state["b1"], dtype=np.float64)
-            w2 = np.asarray(state["w2"], dtype=np.float64)
-            b2 = np.asarray(state["b2"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if w1.ndim != 2 or w1.shape != ((donor_window - 1) * self.alphabet_size, hidden):
-            return None
-        if w2.shape != (hidden, self.alphabet_size):
-            return None
-        adapted = np.zeros((target_rows, hidden))
-        keep = min(len(w1), target_rows)
-        adapted[target_rows - keep :] = w1[len(w1) - keep :]
-        return {"w1": adapted, "b1": b1, "w2": w2, "b2": b2}
-
-    def _find_donor(self) -> tuple[int, dict[str, np.ndarray], float] | None:
-        """An adjacent-DW donor: in-process registry first, then store."""
-        registry = self._warm_registry
-        digest = self._training_digest
-        if digest is None:
-            return None
-        if registry is not None:
-            held = registry.donor(
-                digest, self.family_fingerprint(), self.window_length
-            )
-            if held is not None:
-                return held
-        store = self._store
-        if store is None:
-            return None
-        for neighbor in (self.window_length - 1, self.window_length + 1):
-            if neighbor < 2:
-                continue
-            key = fit_key(digest, self.config_fingerprint(window_length=neighbor))
-            # Donor-kind lookups count under separate telemetry names
-            # (store.donor.*) so store.hit keeps mirroring fit traffic.
-            state = store.get(key, kind="donor")  # type: ignore[attr-defined]
-            if state is not None and "final_loss" in state:
-                return neighbor, state, float(np.asarray(state["final_loss"]))
-        return None
-
-    def _warm_fit(
-        self, encoded: np.ndarray, targets: np.ndarray, weights: np.ndarray
-    ) -> NextSymbolMlp | None:
-        """A gated warm-started network, or ``None`` for the cold path.
-
-        Reports through ``self._fit_hint``: a gate rejection records
-        ``warm_disabled`` (surfaced by ``RunReport``) and returns
-        ``None`` so the caller refits cold with the full budget.
-        """
-        policy = self._warm_policy
-        if policy is None:
-            return None
-        donor = self._find_donor()
-        if donor is None:
-            return None
-        donor_window, state, donor_loss = donor
-        adapted = self._adapt_donor(state, donor_window)
-        if adapted is None:
-            return None
-        network = NextSymbolMlp(
-            input_dim=(self.window_length - 1) * self.alphabet_size,
-            output_dim=self.alphabet_size,
-            config=self._config,
-        )
-        if not network.load_weights(adapted):
-            return None
-        warm_loss = network.train(
-            encoded, targets, weights,
-            epochs=policy.warm_epochs(self._config.epochs),
-        )
-        if warm_loss > donor_loss + policy.loss_tolerance:
-            self._fit_hint = FitRecord(
-                origin="computed",
-                warm_disabled=(
-                    f"warm loss {warm_loss:.4f} exceeded donor "
-                    f"(DW={donor_window}) loss {donor_loss:.4f} "
-                    f"+ tolerance {policy.loss_tolerance}"
-                ),
-            )
-            return None
-        self._final_loss = warm_loss
-        self._fit_hint = FitRecord(origin="warm", warm_donor_window=donor_window)
-        return network
-
-    def _offer_donor(self) -> None:
-        """Publish this fit to the in-process warm-start registry."""
-        registry = self._warm_registry
-        digest = self._training_digest
-        if registry is None or digest is None or self._network is None:
-            return
-        registry.publish(
-            digest,
-            self.family_fingerprint(),
-            self.window_length,
-            self._network.export_weights(),
-            float(self._final_loss),
-        )
 
     def _score(self, test_stream: np.ndarray) -> np.ndarray:
         view = self._windows_view(test_stream)

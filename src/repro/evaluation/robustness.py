@@ -112,6 +112,13 @@ def replicate_shapes(
 ) -> RobustnessReport:
     """Re-run the map experiment under each seed and check the shapes.
 
+    Each seed draws a new training stream, and only that.  The suite
+    built on it holds the same eight test streams at every seed:
+    :func:`~repro.datagen.suite.build_suite` picks the first qualifying
+    anomaly candidates and the first clean injection site, and both
+    come out the same for every corpus tried.  So a replication varies
+    the training corpus, not the anomalies or their injection.
+
     Args:
         base_params: corpus parameters; the seed field is overridden
             per replication.

@@ -56,8 +56,6 @@ _EXPORTS: dict[str, str] = {
     "FitRecord": "repro.runtime.fitindex",
     "FitStats": "repro.runtime.fitindex",
     "TrainingIndex": "repro.runtime.fitindex",
-    "WarmStartPolicy": "repro.runtime.fitindex",
-    "WarmStartRegistry": "repro.runtime.fitindex",
     "ArtifactStore": "repro.runtime.store",
     "STORE_SCHEMA_VERSION": "repro.runtime.store",
     "StoreStats": "repro.runtime.store",

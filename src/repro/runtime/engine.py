@@ -66,13 +66,7 @@ from repro.exceptions import (
 from repro.runtime.arena import SharedSuite, WindowArena, share_suite
 from repro.runtime.cache import CacheStats, WindowCache
 from repro.runtime.faults import FaultSchedule, apply_fault, corrupt_block
-from repro.runtime.fitindex import (
-    FitLedger,
-    FitRecord,
-    FitStats,
-    WarmStartPolicy,
-    WarmStartRegistry,
-)
+from repro.runtime.fitindex import FitLedger, FitRecord, FitStats
 from repro.runtime.resilience import (
     ResiliencePolicy,
     ResilientRunner,
@@ -108,8 +102,6 @@ def evaluate_window_block(
     cache: WindowCache | None = None,
     memoize: bool = False,
     store: ArtifactStore | None = None,
-    warm_policy: WarmStartPolicy | None = None,
-    warm_registry: WarmStartRegistry | None = None,
 ) -> list[CellResult]:
     """Fit one detector and score it on every anomaly size of the suite.
 
@@ -127,11 +119,6 @@ def evaluate_window_block(
             looked up by content address before any training work and
             written back on a miss.  How the fit was obtained is
             reported via ``detector.last_fit_report``.
-        warm_policy: lets iterative families initialize from an
-            adjacent-DW donor (see
-            :class:`~repro.runtime.fitindex.WarmStartPolicy`).
-        warm_registry: in-process donor registry shared across the
-            sweep's blocks.
 
     Returns:
         One :class:`CellResult` per anomaly size, ascending.
@@ -140,8 +127,6 @@ def evaluate_window_block(
         detector.attach_cache(cache)
     if store is not None:
         detector.attach_store(store)
-    if warm_policy is not None:
-        detector.attach_warm_start(warm_policy, warm_registry)
     with telemetry.span(
         "fit", detector.name, window_length=detector.window_length
     ):
@@ -179,33 +164,6 @@ def evaluate_window_block(
 #: single-threaded, so no lock is required around the stats delta.
 _WORKER_CACHE: WindowCache | None = None
 
-#: Per-process warm-start donor registry; lives for the worker's
-#: lifetime so fits in the same worker can donate to each other.
-_WORKER_REGISTRY: WarmStartRegistry | None = None
-
-
-def _worker_fit_context(
-    store_spec: tuple[str, int | None] | None,
-    warm_policy: WarmStartPolicy | None,
-) -> tuple[ArtifactStore | None, WarmStartRegistry | None]:
-    """Materialize a task's store and donor registry inside a worker.
-
-    The store is rebuilt from its picklable spec — the directory is
-    the shared state, so a per-task instance is equivalent (only the
-    local traffic counters are per-instance; the parent's RunReport
-    fit counters travel via :class:`FitRecord` instead).  The registry
-    is worker-global: donors accumulate across the tasks a worker
-    handles.
-    """
-    global _WORKER_REGISTRY
-    store = ArtifactStore.from_spec(store_spec)
-    registry = None
-    if warm_policy is not None:
-        if _WORKER_REGISTRY is None:
-            _WORKER_REGISTRY = WarmStartRegistry()
-        registry = _WORKER_REGISTRY
-    return store, registry
-
 
 def _worker_suite(
     suite: EvaluationSuite | SharedSuite,
@@ -235,7 +193,6 @@ def _process_resilient_block(
     memoize: bool,
     schedule: FaultSchedule | None,
     store_spec: tuple[str, int | None] | None,
-    warm_policy: WarmStartPolicy | None,
     telemetry_spec: TelemetryConfig | None,
     attempt: int,
 ) -> tuple[list[CellResult], CacheStats, FitRecord | None, dict | None]:
@@ -249,7 +206,9 @@ def _process_resilient_block(
     back with the results so the parent can fold them into the engine
     cache's statistics, the sweep's fit ledger and the sweep's
     telemetry (see :meth:`WindowCache.merge_counts` and
-    :meth:`~repro.runtime.telemetry.Telemetry.merge_snapshot`).
+    :meth:`~repro.runtime.telemetry.Telemetry.merge_snapshot`).  The
+    store is rebuilt from its picklable spec: the directory is the
+    shared state, so a per-task instance is equivalent.
     """
     corrupt = apply_fault(schedule, f"{name}:{window_length}", attempt)
     task_telemetry = Telemetry.from_spec(telemetry_spec)
@@ -261,15 +220,12 @@ def _process_resilient_block(
             detector = create_detector(
                 name, window_length, suite.training.alphabet.size, **detector_kwargs
             )
-            store, registry = _worker_fit_context(store_spec, warm_policy)
             cells = evaluate_window_block(
                 detector,
                 suite,
                 cache=cache,
                 memoize=memoize,
-                store=store,
-                warm_policy=warm_policy,
-                warm_registry=registry,
+                store=ArtifactStore.from_spec(store_spec),
             )
         stats = cache.stats
         if before is not None:
@@ -306,17 +262,9 @@ class SweepEngine:
             (or its directory path) backing every fit of every sweep:
             fits are looked up by content address before any training
             work and written back on a miss, so re-runs skip fitting
-            entirely.  ``None`` (the default) disables persistence.
-        warm_start: whether iterative detectors may warm-start from
-            adjacent-DW donors.  ``None`` (the default) auto-enables
-            exactly when a store is attached: warm starting trades
-            bit-reproducibility for speed, so it stays off unless the
-            caller already opted into the persistent-fit machinery;
-            pass ``False`` (the ``--no-warm-start`` escape hatch) to
-            keep store-backed runs bit-reproducible, or ``True`` to
-            force it on without a store.
-        warm_policy: the gate parameters for warm-started fits;
-            defaults to :class:`~repro.runtime.fitindex.WarmStartPolicy`.
+            entirely.  A stored fit is bit-identical to a fresh one,
+            so a store never changes a map.  ``None`` (the default)
+            disables persistence.
         telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
             collector activated for the duration of every sweep: spans
             and metrics from every instrumented component (this engine,
@@ -340,8 +288,6 @@ class SweepEngine:
         window_cache: WindowCache | None = None,
         resilience: ResiliencePolicy | None = None,
         store: ArtifactStore | str | Path | None = None,
-        warm_start: bool | None = None,
-        warm_policy: WarmStartPolicy | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if executor is not None and executor not in EXECUTORS:
@@ -357,9 +303,6 @@ class SweepEngine:
         self._store = (
             ArtifactStore(store) if isinstance(store, (str, Path)) else store
         )
-        warm = (self._store is not None) if warm_start is None else bool(warm_start)
-        self._warm_policy = (warm_policy or WarmStartPolicy()) if warm else None
-        self._warm_registry = WarmStartRegistry() if warm else None
         self._ledger: FitLedger | None = None
         self._last_fit_stats = FitStats()
         # The suite the cache holds streams of; released when a sweep
@@ -393,11 +336,6 @@ class SweepEngine:
     def store(self) -> ArtifactStore | None:
         """The persistent artifact store (``None`` when disabled)."""
         return self._store
-
-    @property
-    def warm_start_enabled(self) -> bool:
-        """Whether iterative fits may warm-start from adjacent DWs."""
-        return self._warm_policy is not None
 
     @property
     def last_fit_stats(self) -> FitStats:
@@ -460,7 +398,6 @@ class SweepEngine:
         metrics = collector.metrics
         metrics.count("fits.computed", fit_stats.computed)
         metrics.count("fits.from_store", fit_stats.from_store)
-        metrics.count("fits.warm", fit_stats.warm_started)
         metrics.count("cache.hits", cache_after.hits - cache_before.hits)
         metrics.count("cache.misses", cache_after.misses - cache_before.misses)
         metrics.count("sweep.count", 1)
@@ -625,7 +562,7 @@ class SweepEngine:
                 if stats is not None:
                     self._cache.merge_counts(stats.hits, stats.misses)
                 if record is not None and self._ledger is not None:
-                    self._ledger.record(record, task.key)
+                    self._ledger.record(record)
                 if snapshot is not None and self._telemetry is not None:
                     self._telemetry.merge_snapshot(snapshot)
                 self._collect(cells, task.name, results)
@@ -741,12 +678,10 @@ class SweepEngine:
                 cache=self._cache,
                 memoize=name in MEMOIZED_FAMILIES,
                 store=self._store,
-                warm_policy=self._warm_policy,
-                warm_registry=self._warm_registry,
             )
         ledger = self._ledger
         if ledger is not None:
-            ledger.record(detector.last_fit_report, f"{name}:{window_length}")
+            ledger.record(detector.last_fit_report)
         return results
 
     @staticmethod
@@ -833,7 +768,6 @@ class SweepEngine:
                             registry_name in MEMOIZED_FAMILIES,
                             schedule,
                             self._store.spec() if self._store is not None else None,
-                            self._warm_policy,
                             self._telemetry.spec()
                             if self._telemetry is not None
                             else None,
@@ -936,8 +870,6 @@ class SweepEngine:
             checkpoint_path=str(checkpoint) if checkpoint is not None else None,
             fits_computed=fit_stats.computed,
             fits_from_store=fit_stats.from_store,
-            fits_warm_started=fit_stats.warm_started,
-            warm_start_disabled=fit_stats.warm_disabled,
             telemetry=(
                 self._telemetry.snapshot()["metrics"]
                 if self._telemetry is not None

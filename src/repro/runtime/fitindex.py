@@ -1,4 +1,4 @@
-"""One-pass multi-order training index and warm-start fitting support.
+"""One-pass multi-order training index and fit accounting.
 
 Fitting is the dominant remaining cost of a performance-map sweep:
 every ``(family, DW)`` cell re-slides, re-sorts and re-counts the same
@@ -38,10 +38,9 @@ proves it per family over the full AS x DW grid, including the
 unpackable corner — so plugging the index under
 :class:`~repro.runtime.cache.WindowCache` changes no response value.
 
-The module also hosts the warm-start vocabulary for the iterative
-detectors (:class:`WarmStartPolicy`, :class:`WarmStartRegistry`) and
-the :class:`FitRecord`/:class:`FitStats` accounting the sweep engine
-aggregates into its :class:`~repro.runtime.resilience.RunReport`.
+The module also hosts the :class:`FitRecord`/:class:`FitStats`
+accounting the sweep engine aggregates into its
+:class:`~repro.runtime.resilience.RunReport`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import DetectorConfigurationError, WindowError
+from repro.exceptions import WindowError
 from repro.runtime import telemetry
 from repro.sequences.ngram_store import count_keys
 from repro.sequences.windows import windows_array
@@ -240,104 +239,6 @@ class TrainingIndex:
         return self.rows(window_length), level.inverse, level.counts
 
 
-# -- warm-start support --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WarmStartPolicy:
-    """How iterative detectors may reuse adjacent-DW fits.
-
-    A warm-started fit initializes from a donor model trained at an
-    adjacent window length (preferring ``DW - 1``) and trains for a
-    reduced epoch budget.  The *equivalence-tolerance gate* then
-    compares the warm fit's final loss against the donor's: a warm fit
-    that fails to reach donor-quality loss (within ``loss_tolerance``)
-    is discarded and the detector silently refits cold — the fallback
-    is recorded so :class:`~repro.runtime.resilience.RunReport` can
-    surface it.
-
-    Warm starting trades bit-reproducibility for speed (the paper's
-    responses are graded, so the *classification* is gated, not the
-    bits); paper-fidelity runs disable it via ``--no-warm-start``.
-
-    Args:
-        epochs_fraction: fraction of the cold epoch budget a warm fit
-            trains for (at least one epoch).
-        loss_tolerance: maximal allowed excess of the warm final loss
-            over the donor's final loss before the gate rejects.
-    """
-
-    epochs_fraction: float = 0.5
-    loss_tolerance: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epochs_fraction <= 1.0:
-            raise DetectorConfigurationError(
-                f"epochs_fraction must lie in (0, 1], got {self.epochs_fraction}"
-            )
-        if self.loss_tolerance < 0.0:
-            raise DetectorConfigurationError(
-                f"loss_tolerance must be >= 0, got {self.loss_tolerance}"
-            )
-
-    def warm_epochs(self, cold_epochs: int) -> int:
-        """The reduced epoch budget for a warm-started fit."""
-        return max(1, round(cold_epochs * self.epochs_fraction))
-
-
-class WarmStartRegistry:
-    """In-process donor registry for warm-started fits.
-
-    Completed fits publish their serialized state keyed by
-    ``(stream digest, window-length-free fingerprint, DW)``; a later
-    fit at an adjacent DW of the same stream and configuration adopts
-    the donor as initialization.  Thread-safe: sweeps publish and
-    query from concurrent worker threads.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._donors: dict[tuple[str, str, int], tuple[dict, float]] = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._donors)
-
-    def publish(
-        self,
-        digest: str,
-        fingerprint: str,
-        window_length: int,
-        state: dict,
-        loss: float,
-    ) -> None:
-        """Offer a fitted model as a donor for adjacent window lengths."""
-        with self._lock:
-            self._donors[(digest, fingerprint, window_length)] = (state, loss)
-
-    def donor(
-        self, digest: str, fingerprint: str, window_length: int
-    ) -> tuple[int, dict, float] | None:
-        """Best adjacent donor for ``window_length``: ``DW-1`` then ``DW+1``.
-
-        Returns ``(donor window length, state, final loss)`` or ``None``.
-        """
-        with self._lock:
-            for candidate in (window_length - 1, window_length + 1):
-                if candidate < 2:
-                    continue
-                held = self._donors.get((digest, fingerprint, candidate))
-                if held is not None:
-                    state, loss = held
-                    return candidate, state, loss
-        return None
-
-    def clear(self) -> None:
-        """Drop every donor (releases the referenced arrays)."""
-        with self._lock:
-            self._donors.clear()
-
-
 # -- fit accounting ------------------------------------------------------------
 
 
@@ -346,21 +247,14 @@ class FitRecord:
     """How one detector fit was obtained.
 
     Attributes:
-        origin: ``"computed"`` (a real fit ran), ``"store"`` (loaded
-            from the artifact store — zero fitting work), or
-            ``"warm"`` (initialized from an adjacent-DW donor and
-            trained with a reduced budget).
+        origin: ``"computed"`` (a real fit ran) or ``"store"`` (loaded
+            from the artifact store — zero fitting work).
         store_key: the content-addressed key consulted, when a store
             was attached.
-        warm_donor_window: the donor DW of a warm-started fit.
-        warm_disabled: the gate's reason when a warm start was
-            attempted but rejected (the fit fell back to cold).
     """
 
     origin: str = "computed"
     store_key: str | None = None
-    warm_donor_window: int | None = None
-    warm_disabled: str | None = None
 
 
 @dataclass(frozen=True)
@@ -369,13 +263,6 @@ class FitStats:
 
     computed: int = 0
     from_store: int = 0
-    warm_started: int = 0
-    warm_disabled: tuple[str, ...] = ()
-
-    @property
-    def total(self) -> int:
-        """All fits the sweep resolved, however they were obtained."""
-        return self.computed + self.from_store + self.warm_started
 
 
 class FitLedger:
@@ -385,22 +272,16 @@ class FitLedger:
         self._lock = threading.Lock()
         self._computed = 0
         self._from_store = 0
-        self._warm = 0
-        self._disabled: list[str] = []
 
-    def record(self, record: FitRecord | None, key: str) -> None:
+    def record(self, record: FitRecord | None) -> None:
         """Fold one block's fit record into the ledger."""
         if record is None:
             return
         with self._lock:
             if record.origin == "store":
                 self._from_store += 1
-            elif record.origin == "warm":
-                self._warm += 1
             else:
                 self._computed += 1
-            if record.warm_disabled is not None:
-                self._disabled.append(f"{key}: {record.warm_disabled}")
 
     def snapshot(self) -> FitStats:
         """An immutable view of the counters so far."""
@@ -408,7 +289,5 @@ class FitLedger:
             return FitStats(
                 computed=self._computed,
                 from_store=self._from_store,
-                warm_started=self._warm,
-                warm_disabled=tuple(self._disabled),
             )
 

@@ -228,19 +228,13 @@ class RunReport:
         cells_resumed: grid cells loaded from the resume checkpoint.
         elapsed: sweep wall-clock seconds.
         checkpoint_path: where completed cells were streamed (or None).
-        fits_computed: detector fits that ran the full training work
-            (neither served by the artifact store nor warm-started).
+        fits_computed: detector fits that ran the training work (not
+            served by the artifact store).
         fits_from_store: fits loaded from the persistent artifact
             store — zero training work.  A store-warm re-run of an
             identical sweep reports ``fits_computed == 0`` and all
             fits here (the CI cold/warm job pair asserts exactly
             this).
-        fits_warm_started: fits initialized from an adjacent-DW donor
-            and trained with a reduced budget.
-        warm_start_disabled: one entry per block whose warm-start
-            attempt was rejected by the equivalence-tolerance gate
-            (``"family:DW: reason"``); those blocks fell back to cold
-            fits and are counted in ``fits_computed``.
         telemetry: metrics snapshot (``Telemetry.snapshot()["metrics"]``)
             for the run when the engine carried a telemetry collector,
             ``None`` otherwise.
@@ -256,8 +250,6 @@ class RunReport:
     checkpoint_path: str | None = None
     fits_computed: int = 0
     fits_from_store: int = 0
-    fits_warm_started: int = 0
-    warm_start_disabled: tuple[str, ...] = ()
     telemetry: dict | None = None
 
     @property
@@ -293,14 +285,11 @@ class RunReport:
             f"{self.resumed} resumed",
             f"{self.total_retries} retries",
         ]
-        if self.fits_from_store or self.fits_warm_started:
+        if self.fits_from_store:
             parts.append(
                 f"fits: {self.fits_computed} computed / "
-                f"{self.fits_from_store} from store / "
-                f"{self.fits_warm_started} warm"
+                f"{self.fits_from_store} from store"
             )
-        if self.warm_start_disabled:
-            parts.append(f"{len(self.warm_start_disabled)} warm starts disabled")
         if self.degradations:
             parts.append(f"degraded {' then '.join(self.degradations)}")
         backend = (

@@ -207,10 +207,10 @@ class ArtifactStore:
             key: the content address (see :func:`fit_key`).
             kind: telemetry tag — ``"fit"`` for the per-block fit
                 lookup (the traffic the ``fits:`` provenance counters
-                mirror), ``"donor"`` for warm-start donor hunting.
-                Kinds count under separate telemetry names so the
+                mirror); other kinds (``"plan"``, ``"shard"``,
+                ``"snapshot"``) count under ``store.<kind>.*`` so the
                 ``store.hit == fits.from_store`` trace invariant holds
-                exactly even when donor probing adds lookups.
+                exactly on stores those callers share.
         """
         prefix = "store" if kind == "fit" else f"store.{kind}"
         path = self._path(key)

@@ -785,8 +785,8 @@ def check_trace_counters(
     * ``store.hit`` events == ``fits.from_store`` (every store-served
       fit is exactly one store hit);
     * when every sweep ran with a store, ``store.miss`` events ==
-      ``fits.computed + fits.warm`` (every non-store fit paid exactly
-      one store miss first);
+      ``fits.computed`` (every computed fit paid exactly one store
+      miss first);
     * the serving fleet store's accounting balances: hot-tier inserts
       minus evictions minus removals equals the resident-entry
       counter, the resident byte gauges never go negative, and
@@ -831,11 +831,10 @@ def check_trace_counters(
                 f"fits.from_store ({counter('fits.from_store'):g})"
             )
         if counter("sweep.with_store") == counter("sweep.count"):
-            fitted = counter("fits.computed") + counter("fits.warm")
-            if counter("store.miss") != fitted:
+            if counter("store.miss") != counter("fits.computed"):
                 problems.append(
                     f"store.miss events ({counter('store.miss'):g}) != "
-                    f"fits.computed + fits.warm ({fitted:g})"
+                    f"fits.computed ({counter('fits.computed'):g})"
                 )
     if "serve.hot.insert" in counters or "serve.hot.resident_entries" in counters:
         flow = (
@@ -958,8 +957,7 @@ def summarize_trace(path: str | Path) -> str:
         f"cache hit rate: {rate('cache.hit', 'cache.miss')}",
         f"store hit rate: {rate('store.hit', 'store.miss')}",
         f"fits: {counters.get('fits.computed', 0):g} computed / "
-        f"{counters.get('fits.from_store', 0):g} from store / "
-        f"{counters.get('fits.warm', 0):g} warm",
+        f"{counters.get('fits.from_store', 0):g} from store",
         f"retries: {counters.get('task.retries', 0):g} "
         f"({counters.get('task.timeouts', 0):g} timeouts)",
     ]

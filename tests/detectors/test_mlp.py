@@ -97,7 +97,7 @@ class TestNetwork:
         )
 
 
-def reference_train(start, inputs, targets, sample_weights, config, epochs=None):
+def reference_train(start, inputs, targets, sample_weights, config):
     """The documented training algorithm, written plainly.
 
     Full-batch weighted cross-entropy with momentum on the folded
@@ -107,7 +107,7 @@ def reference_train(start, inputs, targets, sample_weights, config, epochs=None)
     epoch's update.  Returns ``(weights, loss, epochs_run)``.
     """
     weights = sample_weights / sample_weights.sum()
-    budget = config.epochs if epochs is None else epochs
+    budget = config.epochs
     n = len(inputs)
     layer1 = np.vstack([start["w1"], start["b1"]])
     layer2 = np.vstack([start["w2"], start["b2"]])
@@ -151,11 +151,11 @@ def one_hot_problem(n, context_length, alphabet_size, seed):
     return inputs, targets, counts
 
 
-def assert_matches_reference(network, inputs, targets, counts, epochs=None):
+def assert_matches_reference(network, inputs, targets, counts):
     start = network.export_weights()
-    loss = network.train(inputs, targets, counts, epochs=epochs)
+    loss = network.train(inputs, targets, counts)
     expected, expected_loss, epochs_run = reference_train(
-        start, inputs, targets, counts, network.config, epochs
+        start, inputs, targets, counts, network.config
     )
     trained = network.export_weights()
     for name in ("w1", "b1", "w2", "b2"):
@@ -183,15 +183,6 @@ class TestKernelMatchesReference:
         network = NextSymbolMlp(inputs.shape[1], alphabet_size, config)
         epochs_run = assert_matches_reference(network, inputs, targets, counts)
         assert (epochs_run < config.epochs) is stops
-
-    def test_reduced_budget_from_loaded_weights(self):
-        """The warm path: donor weights, then a short ``epochs=`` budget."""
-        inputs, targets, counts = one_hot_problem(30, 2, 6, 30)
-        donor = NextSymbolMlp(12, 6, MlpConfig(seed=1))
-        donor.train(inputs, targets, counts, epochs=15)
-        network = NextSymbolMlp(12, 6, MlpConfig())
-        assert network.load_weights(donor.export_weights())
-        assert assert_matches_reference(network, inputs, targets, counts, 25) == 25
 
 
 class TestConvergenceStop:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.detectors.registry import create_detector
-from repro.exceptions import DetectorConfigurationError, WindowError
-from repro.runtime import TrainingIndex, WarmStartPolicy, WarmStartRegistry, WindowCache
+from repro.exceptions import WindowError
+from repro.runtime import TrainingIndex, WindowCache
 from repro.runtime.fitindex import FitLedger, FitRecord
 from repro.sequences.windows import windows_array
 
@@ -171,62 +171,13 @@ class TestIndexDerivedDetectorTables:
         )
 
 
-class TestWarmStartPolicy:
-    def test_warm_epochs_fraction(self):
-        policy = WarmStartPolicy(epochs_fraction=0.5)
-        assert policy.warm_epochs(100) == 50
-        assert policy.warm_epochs(1) == 1
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(DetectorConfigurationError):
-            WarmStartPolicy(epochs_fraction=0.0)
-        with pytest.raises(DetectorConfigurationError):
-            WarmStartPolicy(epochs_fraction=1.5)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(DetectorConfigurationError):
-            WarmStartPolicy(loss_tolerance=-0.1)
-
-
-class TestWarmStartRegistry:
-    def test_donor_prefers_lower_neighbor(self):
-        registry = WarmStartRegistry()
-        registry.publish("d", "f", 4, {"w": np.zeros(1)}, 0.5)
-        registry.publish("d", "f", 6, {"w": np.ones(1)}, 0.7)
-        held = registry.donor("d", "f", 5)
-        assert held is not None
-        donor_window, _state, loss = held
-        assert donor_window == 4
-        assert loss == 0.5
-
-    def test_donor_falls_back_to_upper_neighbor(self):
-        registry = WarmStartRegistry()
-        registry.publish("d", "f", 6, {"w": np.ones(1)}, 0.7)
-        held = registry.donor("d", "f", 5)
-        assert held is not None
-        assert held[0] == 6
-
-    def test_no_donor_for_unknown_key(self):
-        registry = WarmStartRegistry()
-        registry.publish("d", "f", 4, {}, 0.5)
-        assert registry.donor("other", "f", 5) is None
-        assert registry.donor("d", "g", 5) is None
-        assert registry.donor("d", "f", 9) is None
-
-
 class TestFitLedger:
     def test_snapshot_counts_origins(self):
         ledger = FitLedger()
-        ledger.record(FitRecord(origin="computed"), "a:2")
-        ledger.record(FitRecord(origin="store"), "a:3")
-        ledger.record(FitRecord(origin="warm", warm_donor_window=2), "a:4")
-        ledger.record(
-            FitRecord(origin="computed", warm_disabled="loss gate"), "a:5"
-        )
-        ledger.record(None, "a:6")  # factory path: no record
+        ledger.record(FitRecord(origin="computed"))
+        ledger.record(FitRecord(origin="store"))
+        ledger.record(FitRecord(origin="computed"))
+        ledger.record(None)  # factory path: no record
         stats = ledger.snapshot()
         assert stats.computed == 2
         assert stats.from_store == 1
-        assert stats.warm_started == 1
-        assert len(stats.warm_disabled) == 1
-        assert "a:5" in stats.warm_disabled[0]

@@ -2,9 +2,11 @@
 
 Covers the content-addressed key schema (stability across processes),
 corruption tolerance (a damaged entry is a miss, never an error), the
-LRU byte cap, and the end-to-end sweep integration: store-warm re-runs
-perform zero fits and reproduce every map cell, and warm-started
-neural fits keep (or visibly surrender) the Figure-6 classification.
+LRU byte cap, and the end-to-end sweep integration: a store changes no
+bit of any map — cold store-backed sweeps, store-warm re-runs (zero
+fits) and process-pool sweeps all equal a plain no-store sweep in every
+cell field — and no key outside the cold fit address space is ever
+read.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ import pytest
 
 from repro.datagen.suite import build_suite
 from repro.datagen.training import generate_training_data
-from repro.detectors.mlp import MlpConfig
 from repro.detectors.neural import NeuralDetector
 from repro.detectors.registry import create_detector
 from repro.params import scaled_params
 from repro.runtime import (
     ArtifactStore,
     SweepEngine,
-    WarmStartPolicy,
     fit_key,
     stream_digest,
     streams_digest,
@@ -194,31 +194,59 @@ class TestLruEviction:
         assert store.get(key) is not None, "the just-written entry survives"
 
 
+def _cells(maps):
+    """Every cell of every map, keyed ``(family, AS, DW)``."""
+    return {
+        (name, anomaly_size, window_length): performance_map.cell(
+            anomaly_size, window_length
+        )
+        for name, performance_map in maps.items()
+        for anomaly_size in performance_map.anomaly_sizes
+        for window_length in performance_map.window_lengths
+    }
+
+
 class TestSweepIntegration:
-    FAMILIES = ("stide", "markov", "lane-brodley")
+    FAMILIES = ("stide", "markov", "lane-brodley", "neural-network")
+
+    @pytest.fixture(scope="class")
+    def plain_cells(self, suite):
+        """The no-store reference every store-backed sweep must equal."""
+        return _cells(SweepEngine(executor="serial").sweep(self.FAMILIES, suite))
 
     def test_store_warm_rerun_is_zero_fit_and_bit_identical(
-        self, suite, tmp_path
+        self, suite, plain_cells, tmp_path
     ):
-        cold_engine = SweepEngine(executor="serial", store=tmp_path / "s")
-        cold_maps = cold_engine.sweep(self.FAMILIES, suite)
-        assert cold_engine.last_fit_stats.from_store == 0
+        fits = len(self.FAMILIES) * len(suite.window_lengths)
+        for max_workers in (1, 2):
+            path = tmp_path / f"jobs{max_workers}"
+            cold_engine = SweepEngine(max_workers=max_workers, store=path)
+            cold_maps = cold_engine.sweep(self.FAMILIES, suite)
+            assert cold_engine.last_fit_stats.computed == fits
+            assert cold_engine.last_fit_stats.from_store == 0
+            assert _cells(cold_maps) == plain_cells, (
+                f"a store-backed cold sweep at max_workers={max_workers} "
+                "must equal the plain sweep"
+            )
 
-        warm_engine = SweepEngine(executor="serial", store=tmp_path / "s")
-        warm_maps = warm_engine.sweep(self.FAMILIES, suite)
-        stats = warm_engine.last_fit_stats
-        assert stats.computed == 0, "a warm re-run must perform zero fits"
-        assert stats.from_store == len(self.FAMILIES) * len(
-            suite.window_lengths
+            warm_engine = SweepEngine(max_workers=max_workers, store=path)
+            warm_maps = warm_engine.sweep(self.FAMILIES, suite)
+            stats = warm_engine.last_fit_stats
+            assert stats.computed == 0, "a warm re-run must perform zero fits"
+            assert stats.from_store == fits
+            assert _cells(warm_maps) == plain_cells
+
+    def test_fresh_store_pool_sweeps_agree(self, suite, tmp_path):
+        """Which worker fits which block cannot change a store-backed map."""
+        first, second = (
+            _cells(
+                SweepEngine(max_workers=2, store=tmp_path / name).sweep(
+                    self.FAMILIES, suite
+                )
+            )
+            for name in ("a", "b")
         )
-        mismatched = sum(
-            cold_maps[name].cell(anomaly_size, window_length)
-            != warm_maps[name].cell(anomaly_size, window_length)
-            for name in self.FAMILIES
-            for anomaly_size in suite.anomaly_sizes
-            for window_length in suite.window_lengths
-        )
-        assert mismatched == 0
+        assert first == second
 
     def test_report_surfaces_store_traffic(self, suite, tmp_path):
         engine = SweepEngine(executor="serial", store=tmp_path / "s")
@@ -230,102 +258,61 @@ class TestSweepIntegration:
         assert report.fits_computed == 0
         assert "from store" in report.summary()
 
-    def test_no_warm_start_isolated_from_warm_entries(self, suite, tmp_path):
-        """--no-warm-start must never load warm-trained neural weights:
-        the two modes fork the content address."""
-        warm = SweepEngine(
-            executor="serial", store=tmp_path / "s", warm_start=True
-        )
-        warm.sweep(("neural-network",), suite)
-        cold = SweepEngine(
-            executor="serial", store=tmp_path / "s", warm_start=False
-        )
-        cold.sweep(("neural-network",), suite)
-        stats = cold.last_fit_stats
-        assert stats.from_store == 0, "cold run must miss warm-mode entries"
-        assert stats.warm_started == 0
-        assert stats.computed == len(suite.window_lengths)
-
 
 class TestWarmStartClassification:
-    """Warm-started neural fits on a Figure-6-style map."""
+    """A store-warm neural map on a Figure-6-style grid."""
 
     def test_warm_map_keeps_or_reports_classification(self, suite, tmp_path):
-        cold_engine = SweepEngine(executor="serial", warm_start=False)
-        cold_map = cold_engine.sweep(["neural-network"], suite)["neural-network"]
-        warm_engine = SweepEngine(
-            executor="serial", store=tmp_path / "s", warm_start=True
-        )
+        """Loading every neural fit from the store must reproduce the
+        blind/weak/capable classification of a plain sweep, cell for
+        cell, with zero fits performed."""
+        plain_map = SweepEngine(executor="serial").sweep(
+            ["neural-network"], suite
+        )["neural-network"]
+        path = tmp_path / "s"
+        SweepEngine(executor="serial", store=path).sweep(["neural-network"], suite)
+        warm_engine = SweepEngine(executor="serial", store=path)
         warm_map = warm_engine.sweep(["neural-network"], suite)["neural-network"]
         stats = warm_engine.last_fit_stats
-        assert stats.warm_started + stats.computed == len(
-            suite.window_lengths
-        )
+        assert stats.computed == 0
+        assert stats.from_store == len(suite.window_lengths)
         differing = [
             (anomaly_size, window_length)
             for anomaly_size in suite.anomaly_sizes
             for window_length in suite.window_lengths
-            if cold_map.response_class(anomaly_size, window_length)
+            if plain_map.response_class(anomaly_size, window_length)
             is not warm_map.response_class(anomaly_size, window_length)
         ]
-        # The acceptance contract: warm starting must reproduce the
-        # blind/weak/capable classification, or the gate must have
-        # auto-disabled (reported via the fit stats) wherever it risked
-        # changing it.
-        assert not differing or stats.warm_disabled, (
-            f"classification changed at {differing} without any "
-            "reported warm-start disable"
-        )
         assert not differing, (
-            f"warm-started map changed classification at {differing}"
+            f"store-warm map changed classification at {differing}"
         )
 
-    def test_gate_rejection_reports_and_falls_back_cold(self):
-        """An impossible tolerance forces the gate to reject: the fit
-        must fall back to a cold fit and record the reason."""
-        rng = np.random.default_rng(3)
-        stream = rng.integers(0, 4, size=400).astype(np.int64)
-        config = MlpConfig(epochs=30)
-        policy = WarmStartPolicy(epochs_fraction=0.1, loss_tolerance=0.0)
-        from repro.runtime import WarmStartRegistry
 
-        registry = WarmStartRegistry()
-        donor = NeuralDetector(3, 4, config=config)
-        donor.attach_warm_start(policy, registry)
-        donor.fit(stream)
-        assert donor.last_fit_report.origin == "computed"
+class TestNeuralFitKeys:
+    """The neural network's store address space holds cold fits only."""
 
-        # Publish an unreachable donor loss so the gate must reject.
-        registry.clear()
-        registry.publish(
-            donor._training_digest,
-            donor.family_fingerprint(),
-            3,
-            donor._network.export_weights(),
-            -1.0,
-        )
-        warm = NeuralDetector(4, 4, config=config)
-        warm.attach_warm_start(policy, registry)
-        warm.fit(stream)
-        report = warm.last_fit_report
-        assert report.origin == "computed"
-        assert report.warm_disabled is not None
-        assert "exceeded donor" in report.warm_disabled
+    #: The fingerprint of ``NeuralDetector(3, 8)`` with the default
+    #: configuration.  Stores written by earlier checkouts hold their
+    #: cold fits under this string; changing it orphans them.
+    DEFAULT = (
+        "family=neural-network;dw=3;as=8;tol=0.1;hidden=32;lr=0.5;"
+        "mom=0.9;epochs=400;seed=7;init=0.5;kernel=2"
+    )
 
-    def test_warm_start_accepts_adjacent_donor(self):
-        rng = np.random.default_rng(5)
-        stream = rng.integers(0, 4, size=400).astype(np.int64)
-        config = MlpConfig(epochs=30)
-        policy = WarmStartPolicy(epochs_fraction=0.5, loss_tolerance=10.0)
-        from repro.runtime import WarmStartRegistry
+    STREAM = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 2, 4, 6] * 8, dtype=np.int64)
 
-        registry = WarmStartRegistry()
-        donor = NeuralDetector(3, 4, config=config)
-        donor.attach_warm_start(policy, registry)
-        donor.fit(stream)
-        warm = NeuralDetector(4, 4, config=config)
-        warm.attach_warm_start(policy, registry)
-        warm.fit(stream)
-        report = warm.last_fit_report
-        assert report.origin == "warm"
-        assert report.warm_donor_window == 3
+    def test_default_fingerprint_is_pinned(self):
+        assert NeuralDetector(3, 8).config_fingerprint() == self.DEFAULT
+
+    def test_warm_trained_entry_is_never_loaded(self, tmp_path):
+        """Entries keyed ``;warm=1`` were trained from another DW's
+        weights; no fit may read them."""
+        store = ArtifactStore(tmp_path)
+        digest = streams_digest([self.STREAM])
+        stale = NeuralDetector(3, 8).fit(self.STREAM)._fit_state()
+        stale_key = fit_key(digest, self.DEFAULT + ";warm=1")
+        store.put(stale_key, stale)
+        detector = NeuralDetector(3, 8).attach_store(store)
+        detector.fit(self.STREAM)
+        assert detector.last_fit_report.origin == "computed"
+        assert detector.last_fit_report.store_key == fit_key(digest, self.DEFAULT)

@@ -396,7 +396,6 @@ class TestSweepTelemetry:
         engine = SweepEngine(
             executor="serial",
             store=store_dir,
-            warm_start=False,
             telemetry=cold,
         )
         engine.sweep(FAMILIES, small_suite)
@@ -412,7 +411,6 @@ class TestSweepTelemetry:
         rerun = SweepEngine(
             executor="serial",
             store=store_dir,
-            warm_start=False,
             telemetry=warm,
         )
         rerun.sweep(FAMILIES, small_suite)
