@@ -18,7 +18,6 @@ sequential ones, and the speedup for the full grid must be at least
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import numpy as np
@@ -36,9 +35,7 @@ from repro.runtime import (
     ResiliencePolicy,
     RetryPolicy,
     SweepEngine,
-    WindowArena,
     WindowCache,
-    share_suite,
 )
 from repro.sequences.windows import windows_array
 
@@ -46,7 +43,6 @@ FAMILIES = ("stide", "t-stide", "markov", "lane-brodley")
 MAX_WORKERS = 4
 MIN_SPEEDUP = 2.0
 MIN_KERNEL_SPEEDUP = 3.0  # batch kernels vs the per-row scalar loop
-MIN_PAYLOAD_DROP = 10.0  # task payload bytes, pickle vs descriptors
 KERNEL_WINDOW = 6
 MAX_RESILIENCE_OVERHEAD = 0.05  # fraction of the default-policy wall clock
 MAX_TELEMETRY_OVERHEAD = 0.05  # disabled-path cost of the instrumentation
@@ -218,81 +214,6 @@ def test_batch_kernel_speedup(suite):
         f"{worst} batch kernel speedup {speedups[worst]:.2f}x below the "
         f"{MIN_KERNEL_SPEEDUP}x floor"
     )
-
-
-def test_zero_copy_transport(suite):
-    """E23 — shared-memory descriptors vs pickled task payloads.
-
-    A process-backend task ships its suite once per (family, DW)
-    block; with the arena it ships only segment descriptors.  The
-    payload bytes per cell must drop by at least ``MIN_PAYLOAD_DROP``,
-    and the shm-backed sweep must agree with the pickle-backed one
-    cell for cell.
-    """
-    arena = WindowArena()
-    try:
-        transport = share_suite(arena, suite)
-        shared_bytes = len(pickle.dumps(transport))
-        pickled_bytes = len(pickle.dumps(suite))
-    finally:
-        arena.close()
-    cells_per_block = len(suite.anomaly_sizes)
-    drop = pickled_bytes / shared_bytes
-
-    shm_maps = SweepEngine(
-        max_workers=MAX_WORKERS, executor="process"
-    ).sweep(("stide", "markov"), suite)
-    # Without shared memory the engine falls back to pickled suites.
-    available = WindowArena.available
-    WindowArena.available = staticmethod(lambda: False)
-    try:
-        pickle_maps = SweepEngine(
-            max_workers=MAX_WORKERS, executor="process"
-        ).sweep(("stide", "markov"), suite)
-    finally:
-        WindowArena.available = available
-    mismatched = sum(
-        shm_maps[name].cell(anomaly_size, window_length)
-        != pickle_maps[name].cell(anomaly_size, window_length)
-        for name in ("stide", "markov")
-        for anomaly_size in suite.anomaly_sizes
-        for window_length in suite.window_lengths
-    )
-
-    payload = {
-        "bench": "zero_copy_transport",
-        "shm_available": WindowArena.available(),
-        "payload_bytes_pickle": pickled_bytes,
-        "payload_bytes_shared": shared_bytes,
-        "payload_bytes_per_cell_pickle": round(
-            pickled_bytes / cells_per_block, 1
-        ),
-        "payload_bytes_per_cell_shared": round(
-            shared_bytes / cells_per_block, 1
-        ),
-        "payload_drop": round(drop, 2),
-        "min_payload_drop": MIN_PAYLOAD_DROP,
-        "mismatched_cells": mismatched,
-    }
-    write_json_artifact("zero_copy_transport", payload)
-    write_artifact(
-        "zero_copy_transport",
-        "\n".join(
-            [
-                "Zero-copy transport (per-task payload):",
-                f"  pickled suite  {pickled_bytes:>12,} bytes",
-                f"  descriptors    {shared_bytes:>12,} bytes",
-                f"  drop           {drop:>12.1f}x",
-                f"  mismatches     {mismatched:>12}",
-            ]
-        ),
-    )
-
-    assert mismatched == 0, "shm and pickle transports must agree"
-    if WindowArena.available():
-        assert drop >= MIN_PAYLOAD_DROP, (
-            f"payload drop {drop:.1f}x below the {MIN_PAYLOAD_DROP}x floor"
-        )
 
 
 def test_resilience_overhead(suite):

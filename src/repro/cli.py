@@ -75,8 +75,8 @@ def _jobs_argument(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="worker count for the sweep engine (1 = serial; more runs "
-        "a process pool fed over shared memory; results are identical "
-        "either way)",
+        "a process pool whose workers load the suite once from a temp "
+        "file; results are identical either way)",
     )
 
 

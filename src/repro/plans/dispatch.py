@@ -148,7 +148,7 @@ class Worker:
         lease_ttl: seconds of heartbeat silence before a lease is
             considered abandoned.
         jobs: engine workers inside this process (the ResilientRunner
-            ladder and WindowArena live *inside* each queue worker).
+            ladder and its process pool live *inside* each queue worker).
         telemetry: collector for ``plan.*`` spans and counters.
         crash_after_claims: fault injection — die with ``os._exit``
             immediately after the Nth successful claim, leaving the

@@ -16,11 +16,6 @@ production runtime for that sweep:
   more than one worker is allowed) with unique-window memoized scoring
   for the expensive detectors, while producing maps bit-identical to
   the sequential path;
-* :class:`WindowArena` — zero-copy ``multiprocessing.shared_memory``
-  transport: the suite's streams are materialized once, process
-  workers attach by segment name, and sweep tasks ship only
-  (name, shape, dtype) descriptors instead of pickled arrays (the
-  pickled suite remains the fallback where shared memory fails);
 * :mod:`~repro.runtime.resilience` — the scheduler every sweep runs
   through: retries with deterministic backoff, per-task wall-clock
   timeouts, graceful backend degradation (process -> serial), JSONL
@@ -33,8 +28,8 @@ production runtime for that sweep:
   (the ``--trace``/``--metrics``/``--profile`` flags and the
   ``repro trace`` subcommand).
 
-See the "Runtime & parallelism", "Batch kernels & zero-copy
-transport" and "Failure handling & resume" sections of DESIGN.md and
+See the "Runtime & parallelism", "Batch kernels & suite
+handoff" and "Failure handling & resume" sections of DESIGN.md and
 the ``--jobs``/``--retries``/``--task-timeout``/``--checkpoint``/
 ``--resume`` flags of the CLI.
 
@@ -73,11 +68,6 @@ _EXPORTS: dict[str, str] = {
     "MEMOIZED_FAMILIES": "repro.runtime.engine",
     "SweepEngine": "repro.runtime.engine",
     "evaluate_window_block": "repro.runtime.engine",
-    "ArrayDescriptor": "repro.runtime.arena",
-    "SharedSuite": "repro.runtime.arena",
-    "SharedTable": "repro.runtime.arena",
-    "WindowArena": "repro.runtime.arena",
-    "share_suite": "repro.runtime.arena",
     "score_batch": "repro.runtime.kernels",
     "sorted_membership": "repro.runtime.kernels",
     "FAULT_KINDS": "repro.runtime.faults",

@@ -34,10 +34,9 @@ worker's :class:`CacheStats` back with its results and folding them
 into the shared cache via :meth:`WindowCache.merge_counts`; after any
 sweep, ``engine.window_cache.stats`` therefore covers all backends.
 (Only the *counters* travel; the artifacts themselves stay
-process-local, which is the point of the process backend.)  Arrays a
-worker *attaches* from the shared-memory arena rather than computing
-count as hits — the artifact existed and was reused — never as misses
-(see :meth:`repro.runtime.arena.SharedSuite.restore`).
+process-local, which is the point of the process backend.)  Each
+worker keeps one cache for every task of a sweep and builds its own
+training index in it.
 """
 
 from __future__ import annotations
@@ -89,23 +88,6 @@ class WindowCache:
         self._indexes: dict[int, TrainingIndex] = {}
         self._hits = 0
         self._misses = 0
-        self._arena: object | None = None
-
-    def bind_arena(self, arena: object) -> None:
-        """Couple this cache to a :class:`~repro.runtime.arena.WindowArena`.
-
-        While bound, evicting a stream also releases the stream's
-        shared-memory segment (see :meth:`evict`); the sweep engine
-        binds its arena for the duration of a zero-copy sweep.
-        """
-        with self._lock:
-            self._arena = arena
-
-    def unbind_arena(self, arena: object) -> None:
-        """Detach ``arena`` if it is the currently bound one."""
-        with self._lock:
-            if self._arena is arena:
-                self._arena = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,22 +110,6 @@ class WindowCache:
         with self._lock:
             self._hits += hits
             self._misses += misses
-
-    def credit(self, hits: int, misses: int = 0) -> None:
-        """Credit *fresh* cache traffic observed outside :meth:`_get`.
-
-        Same arithmetic as :meth:`merge_counts`, but also emitted as
-        telemetry events: the arena's restore path uses this when it
-        serves arrays out of shared memory (each one a hit that never
-        went through a lookup).  ``merge_counts`` itself stays
-        telemetry-silent — it folds counters whose events were already
-        emitted where the traffic actually happened (the worker).
-        """
-        self.merge_counts(hits, misses)
-        if hits:
-            telemetry.count("cache.hit", hits)
-        if misses:
-            telemetry.count("cache.miss", misses)
 
     def clear(self) -> None:
         """Drop every cached artifact and retained stream reference.
@@ -168,9 +134,7 @@ class WindowCache:
         Returns:
             The number of cache entries removed.  The pinned stream
             reference is released once no artifact of the stream
-            remains, letting its ``id`` be recycled safely.  With an
-            arena bound (see :meth:`bind_arena`), fully evicting a
-            stream also releases its shared-memory segment.
+            remains, letting its ``id`` be recycled safely.
         """
         with self._lock:
             stream_id = id(stream)
@@ -183,16 +147,9 @@ class WindowCache:
             ]
             for key in doomed:
                 del self._entries[key]
-            unpinned = not any(key[0] == stream_id for key in self._entries)
-            if unpinned:
+            if not any(key[0] == stream_id for key in self._entries):
                 self._streams.pop(stream_id, None)
                 self._indexes.pop(stream_id, None)
-            arena = self._arena
-        if unpinned and arena is not None:
-            # Outside the cache lock: the arena has its own lock, and
-            # release may unlink the segment (never raises for streams
-            # the arena does not know).
-            arena.release(stream)  # type: ignore[attr-defined]
         return len(doomed)
 
     def release_stream(self, stream: np.ndarray) -> int:
@@ -202,12 +159,11 @@ class WindowCache:
         cache retains a reference to every stream it has seen so its
         ``id`` can never be recycled, which means a long-lived engine
         sweeping many suites grows without bound unless someone lets
-        go.  Arena teardown and suite turnover call this when a
-        stream's artifacts can no longer be asked for.
+        go.  Suite turnover calls this when a stream's artifacts can no
+        longer be asked for.
 
-        Equivalent to :meth:`evict` over every window length (the
-        bound arena's segment is released too); returns the number of
-        entries dropped.
+        Equivalent to :meth:`evict` over every window length; returns
+        the number of entries dropped.
         """
         return self.evict(stream)
 
@@ -305,7 +261,7 @@ class WindowCache:
         refinement per new order instead of a fresh slide + pack +
         full sort per (window length, alphabet) — and keyed without
         the alphabet, so every family at every alphabet shares one
-        entry per order (the same key the arena seeds workers under).
+        entry per order.
         Bit-identical to ``np.unique(view, axis=0, ...)``.
         """
         key = (id(stream), window_length, "unique", -1)
@@ -319,33 +275,6 @@ class WindowCache:
             return index.decomposition(window_length)
 
         return self._get(stream, key, compute)
-
-    def seed_decomposition(
-        self,
-        stream: np.ndarray,
-        window_length: int,
-        rows: np.ndarray,
-        inverse: np.ndarray,
-        counts: np.ndarray,
-    ) -> bool:
-        """Install a precomputed unique decomposition for ``stream``.
-
-        Used by :meth:`repro.runtime.arena.SharedSuite.restore` to
-        hand workers the parent's derived tables (zero-copy via shared
-        memory) so worker processes never rebuild the training index.
-        Seeding is silent for the counters — the restore path credits
-        attachments in bulk via :meth:`merge_counts`.
-
-        Returns ``True`` when the entry was installed, ``False`` when
-        an equivalent entry already existed.
-        """
-        key = (id(stream), window_length, "unique", -1)
-        with self._lock:
-            if key in self._entries:
-                return False
-            self._entries[key] = (rows, inverse, counts)
-            self._streams.setdefault(key[0], stream)
-            return True
 
     def validated(self, stream: np.ndarray, alphabet_size: int, compute):
         """Memoized per-(stream, alphabet) training-stream validation.

@@ -28,13 +28,13 @@ work through one supervised scheduler:
   execution, or a ``process`` pool when more than one worker is
   allowed and every family is a registered name.  A broken pool
   degrades to serial;
-* **zero-copy transport** — under the process backend the suite's
-  streams are published once into a shared-memory
-  :class:`~repro.runtime.arena.WindowArena` and workers attach by
-  segment name, so task payloads carry (name, shape, dtype)
-  descriptors instead of pickled arrays.  Where shared memory is
-  unavailable or publishing fails, the tasks carry the pickled suite
-  instead.
+* **one-file handoff** — under the process backend the parent pickles
+  the suite once into a temp file (``repro-suite-<pid>-*``) and every
+  task payload carries only that file's path; each worker loads the
+  suite on its first task and keeps it, with one worker-wide window
+  cache, for the rest of the sweep.  The file is unlinked when the
+  sweep ends, and by the workers' parent-watch thread if the sweeping
+  process dies.
 
 Every cell is computed by the same deterministic, side-effect-free
 rule as the serial loop in
@@ -48,6 +48,8 @@ sequential path regardless of worker count or backend
 from __future__ import annotations
 
 import os
+import pickle
+import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
@@ -63,7 +65,6 @@ from repro.exceptions import (
     SweepAbortedError,
     TransientTaskError,
 )
-from repro.runtime.arena import SharedSuite, WindowArena, share_suite
 from repro.runtime.cache import CacheStats, WindowCache
 from repro.runtime.faults import FaultSchedule, apply_fault, corrupt_block
 from repro.runtime.fitindex import FitLedger, FitRecord, FitStats
@@ -73,6 +74,7 @@ from repro.runtime.resilience import (
     RunReport,
     SweepTask,
     TaskReport,
+    handoff_prefix,
 )
 from repro.runtime.store import ArtifactStore
 from repro.runtime import telemetry
@@ -157,38 +159,29 @@ def evaluate_window_block(
     return results
 
 
-#: Per-process cache shared by every zero-copy task a worker handles.
-#: :meth:`SharedSuite.restore` memoizes by segment name, so the same
-#: task payload always resolves to identity-stable arrays — exactly the
-#: keying this cache needs to stay warm across tasks.  Pool workers are
-#: single-threaded, so no lock is required around the stats delta.
-_WORKER_CACHE: WindowCache | None = None
+#: The suite this worker loaded from a handoff file, with the one
+#: window cache every task of the worker shares: ``(path, suite,
+#: cache)``.  Tasks of one sweep name one path, so the suite is read
+#: once per worker and its streams keep the identity the cache keys on.
+#: Pool workers are single-threaded, so no lock is needed.
+_WORKER_SUITE: tuple[str, EvaluationSuite, WindowCache] | None = None
 
 
-def _worker_suite(
-    suite: EvaluationSuite | SharedSuite,
-) -> tuple[EvaluationSuite, WindowCache, CacheStats | None]:
-    """Materialize a task's suite and pick its cache inside a worker.
-
-    A :class:`SharedSuite` descriptor attaches the parent's
-    shared-memory segments zero-copy and shares the worker-global
-    cache (returning a stats snapshot so the caller can report only
-    this task's delta); a plain pickled suite gets a fresh private
-    cache, exactly the pre-arena behavior.
-    """
-    global _WORKER_CACHE
-    if isinstance(suite, SharedSuite):
-        if _WORKER_CACHE is None:
-            _WORKER_CACHE = WindowCache()
-        before = _WORKER_CACHE.stats  # snapshot precedes restore's credits
-        return suite.restore(cache=_WORKER_CACHE), _WORKER_CACHE, before
-    return suite, WindowCache(), None
+def _load_handoff(path: str) -> tuple[EvaluationSuite, WindowCache]:
+    """The suite behind a handoff ``path`` and the worker-wide cache."""
+    global _WORKER_SUITE
+    if _WORKER_SUITE is None or _WORKER_SUITE[0] != path:
+        with telemetry.span("sweep", "handoff.load"):
+            with open(path, "rb") as handle:
+                suite = pickle.load(handle)
+        _WORKER_SUITE = (path, suite, WindowCache())
+    return _WORKER_SUITE[1], _WORKER_SUITE[2]
 
 
 def _process_resilient_block(
     name: str,
     window_length: int,
-    suite: EvaluationSuite | SharedSuite,
+    handoff: str,
     detector_kwargs: dict[str, object],
     memoize: bool,
     schedule: FaultSchedule | None,
@@ -200,12 +193,13 @@ def _process_resilient_block(
 
     The attempt number and the (test-only) fault schedule are threaded
     through, so injected faults fire deterministically inside the
-    worker.  The worker's cache counters (for zero-copy tasks: this
-    task's counter *delta* against the worker-global cache), the
-    block's :class:`FitRecord` and the task's telemetry snapshot ride
-    back with the results so the parent can fold them into the engine
-    cache's statistics, the sweep's fit ledger and the sweep's
-    telemetry (see :meth:`WindowCache.merge_counts` and
+    worker.  The suite comes from the sweep's ``handoff`` file (see
+    :func:`_load_handoff`).  This task's counter *delta* against the
+    worker-wide cache, the block's :class:`FitRecord` and the task's
+    telemetry snapshot ride back with the results so the parent can
+    fold them into the engine cache's statistics, the sweep's fit
+    ledger and the sweep's telemetry (see
+    :meth:`WindowCache.merge_counts` and
     :meth:`~repro.runtime.telemetry.Telemetry.merge_snapshot`).  The
     store is rebuilt from its picklable spec: the directory is the
     shared state, so a per-task instance is equivalent.
@@ -216,7 +210,8 @@ def _process_resilient_block(
         ensure_worker_profiler(task_telemetry.profile_dir)
     with telemetry.activated(task_telemetry):
         with telemetry.span("block", f"{name}:{window_length}"):
-            suite, cache, before = _worker_suite(suite)
+            suite, cache = _load_handoff(handoff)
+            before = cache.stats
             detector = create_detector(
                 name, window_length, suite.training.alphabet.size, **detector_kwargs
             )
@@ -227,11 +222,10 @@ def _process_resilient_block(
                 memoize=memoize,
                 store=ArtifactStore.from_spec(store_spec),
             )
-        stats = cache.stats
-        if before is not None:
-            stats = CacheStats(
-                hits=stats.hits - before.hits, misses=stats.misses - before.misses
-            )
+        after = cache.stats
+        stats = CacheStats(
+            hits=after.hits - before.hits, misses=after.misses - before.misses
+        )
     snapshot = (
         task_telemetry.snapshot() if task_telemetry is not None else None
     )
@@ -548,13 +542,9 @@ class SweepEngine:
         self._held_suite = suite
         aborted: SweepAbortedError | None = None
         with self._instrumented(backend):
-            payload_suite, arena = (
-                self._share_suite(suite)
-                if backend == "process"
-                else (suite, None)
-            )
+            handoff = self._write_handoff(suite) if backend == "process" else None
             tasks = self._block_tasks(
-                resolved, suite, detector_kwargs, skip, schedule, payload_suite
+                resolved, suite, detector_kwargs, skip, schedule, handoff
             )
 
             def on_result(task: SweepTask, result: object) -> None:
@@ -579,13 +569,11 @@ class SweepEngine:
                 aborted = error
             finally:
                 elapsed = time.perf_counter() - started
-                # Unlink the arena whether the sweep finished, aborted,
-                # or was killed by a worker timeout: segments must never
-                # outlive the sweep that published them.
-                if arena is not None:
-                    self._cache.unbind_arena(arena)
-                    arena.close()
-                    self._release_suite(suite)
+                # Unlink the handoff whether the sweep finished, aborted,
+                # or was killed by a worker timeout: the file must never
+                # outlive the sweep that wrote it.
+                if handoff is not None:
+                    Path(handoff).unlink(missing_ok=True)
         # The report (and its telemetry snapshot) is built after the
         # instrumentation context closes so the end-of-sweep summary
         # counters are part of it.
@@ -606,41 +594,29 @@ class SweepEngine:
         }
         return maps, report
 
-    # -- zero-copy transport ----------------------------------------------------
+    # -- process handoff ----------------------------------------------------
 
-    def _share_suite(
-        self, suite: EvaluationSuite
-    ) -> tuple[EvaluationSuite | SharedSuite, WindowArena | None]:
-        """Publish the suite's streams into a shared-memory arena.
+    @staticmethod
+    def _write_handoff(suite: EvaluationSuite) -> str:
+        """Pickle ``suite`` once into a temp file; returns its path.
 
-        Returns ``(transport, arena)``: the descriptor-only
-        :class:`SharedSuite` plus its owning arena, or
-        ``(suite, None)`` when shared memory is unavailable on the
-        platform or publishing fails mid-way: the tasks then carry the
-        pickled suite.  On success the arena is bound to
-        the engine cache so evicting a stream releases its segment.
-
-        The transport carries the training stream's *derived* tables
-        too: the unique-window decomposition at every sweep window
-        length, computed once here through the engine cache's
-        incremental training index and seeded zero-copy into each
-        worker's cache on restore.
+        Process tasks carry this path instead of the suite, and each
+        worker loads the file once (:func:`_load_handoff`).  The name
+        carries the sweeping process's pid, which is how a worker's
+        parent-watch thread finds the file to unlink when that process
+        dies without cleaning up.
         """
-        if not WindowArena.available():
-            return suite, None
-        arena = WindowArena()
-        try:
-            transport = share_suite(
-                arena,
-                suite,
-                cache=self._cache,
-                window_lengths=tuple(suite.window_lengths),
+        with telemetry.span("sweep", "handoff.write"):
+            descriptor, path = tempfile.mkstemp(
+                prefix=handoff_prefix(os.getpid()), suffix=".pkl"
             )
-        except Exception:
-            arena.close()
-            return suite, None
-        self._cache.bind_arena(arena)
-        return transport, arena
+            try:
+                with os.fdopen(descriptor, "wb") as handle:
+                    pickle.dump(suite, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            except BaseException:
+                Path(path).unlink(missing_ok=True)
+                raise
+        return path
 
     def _release_suite(self, suite: EvaluationSuite) -> None:
         """Release ``suite``'s streams from the engine cache.
@@ -648,8 +624,7 @@ class SweepEngine:
         The cache keys streams by identity and pins a reference to each
         (:meth:`WindowCache.release_stream`), so a long-lived engine
         sweeping many suites would otherwise retain every suite it has
-        ever seen.  A process sweep releases its suite when it unlinks
-        its arena; a serial engine keeps the last suite warm (successive
+        ever seen.  The engine keeps the last suite warm (successive
         per-family sweeps of one suite share its windows) and releases
         it when a sweep of another suite starts.
         """
@@ -701,16 +676,15 @@ class SweepEngine:
         detector_kwargs: dict[str, object],
         skip: set[tuple[str, int]],
         schedule: FaultSchedule | None,
-        payload_suite: EvaluationSuite | SharedSuite | None = None,
+        handoff: str | None,
     ) -> list[SweepTask]:
         """One :class:`SweepTask` per (family, window) block not in ``skip``.
 
-        ``payload_suite`` is the suite representation shipped inside
-        each task's *process* payload — the zero-copy
-        :class:`SharedSuite` descriptor under the process backend with
-        an arena, the plain suite otherwise.  The in-process ``run``
-        closure always uses the real ``suite``; a backend degradation
-        to serial therefore never depends on the arena.
+        Under the process backend each task's process payload names the
+        ``handoff`` file holding the pickled suite; without one (serial
+        sweeps) tasks carry no process payload.  The in-process ``run``
+        closure always uses the real ``suite``, so a backend degradation
+        to serial never reads the file.
         """
         expected = len(suite.anomaly_sizes)
         tasks = []
@@ -757,13 +731,13 @@ class SweepEngine:
                         )
 
                 payload = None
-                if registry_name is not None:
+                if registry_name is not None and handoff is not None:
                     payload = (
                         _process_resilient_block,
                         (
                             registry_name,
                             window_length,
-                            suite if payload_suite is None else payload_suite,
+                            handoff,
                             detector_kwargs,
                             registry_name in MEMOIZED_FAMILIES,
                             schedule,

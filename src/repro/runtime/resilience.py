@@ -37,8 +37,10 @@ fault-injection harness of :mod:`repro.runtime.faults`.
 
 from __future__ import annotations
 
+import glob
 import os
 import random
+import tempfile
 import threading
 import time
 from collections.abc import Callable, Iterable
@@ -304,18 +306,50 @@ class RunReport:
         )
 
 
+def handoff_prefix(pid: int) -> str:
+    """Name prefix of the suite handoff files sweeping process ``pid`` writes.
+
+    The files sit in the temp directory as ``repro-suite-<pid>-*`` (see
+    :meth:`repro.runtime.engine.SweepEngine._write_handoff`); the pid
+    is what lets a pool worker find its sweep's files.
+    """
+    return f"repro-suite-{pid}-"
+
+
 def _exit_with_parent(parent_pid: int) -> None:
     """Pool-worker initializer: exit once the sweeping process is gone.
 
     A SIGKILLed sweep runs no cleanup.  Its pool workers would live on
-    as orphans, and because they inherited the resource tracker's pipe
-    the tracker would never unlink the shared-memory segments the sweep
-    published.
+    as orphans, and the suite handoff file it wrote would stay in the
+    temp directory, so the watch thread unlinks that file before the
+    worker exits.
+
+    Under the ``fork`` and ``spawn`` start methods the worker's parent
+    is the sweeping process; under ``forkserver`` it is the fork
+    server, which exits with the sweeping process.  Either way the
+    worker's parent pid changes once the sweep is gone.  The signal-0
+    probe covers a sweep that died before this initializer ran.
     """
+    watched = os.getppid()
+
+    def sweep_alive() -> bool:
+        if os.getppid() != watched:
+            return False
+        try:
+            os.kill(parent_pid, 0)
+        except OSError:
+            return False
+        return True
 
     def watch() -> None:
-        while os.getppid() == parent_pid:
+        while sweep_alive():
             time.sleep(0.5)
+        pattern = os.path.join(tempfile.gettempdir(), handoff_prefix(parent_pid))
+        for path in glob.glob(pattern + "*"):
+            try:
+                os.unlink(path)
+            except OSError:  # another worker got there first
+                pass
         os._exit(1)
 
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()

@@ -6,8 +6,8 @@ is the observability layer the rest of :mod:`repro.runtime` reports
 into:
 
 * :class:`Tracer` — nested spans over the sweep's phases (``sweep``,
-  ``block``, ``fit``, ``score``, ``cache``, ``store``, ``arena``,
-  ``retry``, ``fitindex``, ``kernel``), each carrying wall-clock and
+  ``block``, ``fit``, ``score``, ``cache``, ``store``, ``retry``,
+  ``fitindex``, ``kernel``), each carrying wall-clock and
   per-thread CPU time plus free-form attributes;
 * :class:`Metrics` — counters (cache/store hits, retries, timeouts)
   and histograms (kernel batch sizes, per-cell wall/CPU time);
@@ -58,9 +58,10 @@ from pathlib import Path
 
 from repro.exceptions import TelemetryError
 
-#: Bump when the trace line layout changes: readers reject newer (or
-#: older) schemas instead of misinterpreting them.
-TRACE_SCHEMA_VERSION = 1
+#: Bump when the trace line layout or the span phase vocabulary changes:
+#: readers reject newer (or older) schemas instead of misinterpreting
+#: them.
+TRACE_SCHEMA_VERSION = 2
 
 #: The span phase vocabulary; the schema validator rejects others.
 SPAN_PHASES: frozenset[str] = frozenset(
@@ -71,7 +72,6 @@ SPAN_PHASES: frozenset[str] = frozenset(
         "score",
         "cache",
         "store",
-        "arena",
         "retry",
         "fitindex",
         "kernel",

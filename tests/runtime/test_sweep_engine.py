@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+import glob
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+import textwrap
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +30,10 @@ from repro.evaluation.robustness import (
 from repro.exceptions import EvaluationError
 from repro.params import scaled_params
 from repro.runtime import MEMOIZED_FAMILIES, SweepEngine, WindowCache
-from repro.runtime.resilience import ResilientRunner
+from repro.runtime import engine as engine_module
+from repro.runtime.resilience import ResilientRunner, handoff_prefix
+
+REPO = Path(__file__).resolve().parents[2]
 
 #: The families sharing the window cache in the tentpole sweep.
 FAMILIES = ("stide", "t-stide", "markov", "lane-brodley")
@@ -207,26 +220,28 @@ class TestSuiteRelease:
 class TestOneSweepPerSuite:
     """A multi-family caller makes one engine sweep per suite.
 
-    Under the process backend each sweep publishes the suite into a
-    shared-memory arena and starts a pool, so a caller that swept
-    family by family paid both once per family.
+    Under the process backend each sweep writes the suite's handoff
+    file and starts a pool, so a caller that swept family by family
+    paid both once per family.
     """
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
-        counts = {"shares": 0, "pools": 0}
-        share_suite = SweepEngine._share_suite
+        counts = {"handoffs": 0, "pools": 0}
+        write_handoff = SweepEngine._write_handoff
         new_pool = ResilientRunner._new_pool
 
-        def counting_share(engine, suite):
-            counts["shares"] += 1
-            return share_suite(engine, suite)
+        def counting_handoff(suite):
+            counts["handoffs"] += 1
+            return write_handoff(suite)
 
         def counting_pool(runner, pools):
             counts["pools"] += 1
             return new_pool(runner, pools)
 
-        monkeypatch.setattr(SweepEngine, "_share_suite", counting_share)
+        monkeypatch.setattr(
+            SweepEngine, "_write_handoff", staticmethod(counting_handoff)
+        )
         monkeypatch.setattr(ResilientRunner, "_new_pool", counting_pool)
         return counts
 
@@ -239,7 +254,7 @@ class TestOneSweepPerSuite:
             + ["--detectors", "stide", "t-stide", "markov"]
         )
         assert exit_code == 0, capsys.readouterr().err
-        assert sweeps == {"shares": 1, "pools": 1}
+        assert sweeps == {"handoffs": 1, "pools": 1}
 
     def test_replications_share_each_suite_once(self, params, sweeps):
         seeds = (11, 47)
@@ -250,4 +265,209 @@ class TestOneSweepPerSuite:
             engine=SweepEngine(max_workers=2),
         )
         assert report.all_held, report.summary()
-        assert sweeps == {"shares": len(seeds), "pools": len(seeds)}
+        assert sweeps == {"handoffs": len(seeds), "pools": len(seeds)}
+
+
+def _handoff_files(pid: int | None = None) -> list[str]:
+    """The suite handoff files a sweep in process ``pid`` left behind."""
+    prefix = handoff_prefix(os.getpid() if pid is None else pid)
+    return glob.glob(os.path.join(tempfile.gettempdir(), prefix + "*"))
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie or a recycled pid counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().split()[2] != "Z"
+    except OSError:
+        return False
+
+
+class TestHandoff:
+    """Process tasks carry the path of one pickled suite, not the suite."""
+
+    def test_process_payload_is_under_one_kib(self, suite, monkeypatch):
+        sizes = []
+        submit = ResilientRunner._submit
+
+        def measuring_submit(runner, pool, state, attempt):
+            sizes.append(len(pickle.dumps(state.task.process_payload)))
+            return submit(runner, pool, state, attempt)
+
+        monkeypatch.setattr(ResilientRunner, "_submit", measuring_submit)
+        SweepEngine(max_workers=2).sweep(FAMILIES, suite)
+        assert len(sizes) == len(FAMILIES) * len(suite.window_lengths)
+        # The suite itself pickles to about a megabyte at this scale.
+        assert max(sizes) < 1024 < len(pickle.dumps(suite)) // 100
+
+    def test_worker_loads_the_suite_once(self, suite, monkeypatch):
+        monkeypatch.setattr(engine_module, "_WORKER_SUITE", None)
+        path = SweepEngine._write_handoff(suite)
+        try:
+            loaded, cache = engine_module._load_handoff(path)
+            again, same_cache = engine_module._load_handoff(path)
+        finally:
+            Path(path).unlink()
+        assert again is loaded and same_cache is cache
+
+    def test_worker_load_rebuilds_identical_suite(self, suite, monkeypatch):
+        monkeypatch.setattr(engine_module, "_WORKER_SUITE", None)
+        path = SweepEngine._write_handoff(suite)
+        try:
+            loaded, _ = engine_module._load_handoff(path)
+        finally:
+            Path(path).unlink()
+        np.testing.assert_array_equal(
+            loaded.training.stream, suite.training.stream
+        )
+        assert loaded.anomaly_sizes == suite.anomaly_sizes
+        for anomaly_size in suite.anomaly_sizes:
+            original = suite.stream(anomaly_size)
+            rebuilt = loaded.stream(anomaly_size)
+            np.testing.assert_array_equal(rebuilt.stream, original.stream)
+            assert rebuilt.anomaly == original.anomaly
+            assert rebuilt.position == original.position
+
+    @pytest.mark.parametrize("start_method", ("spawn", "forkserver"))
+    def test_fresh_interpreter_workers_match_serial(self, start_method):
+        """Workers that import everything afresh sweep the same maps.
+
+        Under ``forkserver`` the workers' parent is the fork server, not
+        the sweeping process; the parent watch must not mistake that
+        for a dead sweep (the pool would break and degrade to serial).
+        """
+        script = textwrap.dedent(
+            """
+            import multiprocessing
+            import sys
+
+            from repro.datagen.suite import build_suite
+            from repro.datagen.training import generate_training_data
+            from repro.params import scaled_params
+            from repro.runtime import SweepEngine
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method(sys.argv[1], force=True)
+                suite = build_suite(
+                    training=generate_training_data(scaled_params(12_000, seed=7))
+                )
+                families = ("stide", "t-stide", "markov", "lane-brodley")
+                spawned, report = SweepEngine(max_workers=2).sweep_with_report(
+                    families, suite
+                )
+                serial = SweepEngine(max_workers=1).sweep(families, suite)
+                differing = sum(
+                    spawned[name].cell(size, window)
+                    != serial[name].cell(size, window)
+                    for name in families
+                    for size in suite.anomaly_sizes
+                    for window in suite.window_lengths
+                )
+                print(report.final_backend, differing)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-c", script, start_method],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["process", "0"]
+
+    def test_process_sweep_leaves_no_handoff_file(self, suite):
+        engine = SweepEngine(max_workers=2, executor="process")
+        engine.sweep(("stide",), suite)
+        assert _handoff_files() == []
+
+    def test_aborted_sweep_leaves_no_handoff_file(self, suite):
+        from repro.exceptions import SweepAbortedError
+        from repro.runtime import FaultSchedule, ResiliencePolicy, RetryPolicy
+
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(retries=0),
+            fault_schedule=FaultSchedule(rate=1.0, kinds=("fatal",)),
+        )
+        engine = SweepEngine(
+            max_workers=2, executor="process", resilience=policy
+        )
+        with pytest.raises(SweepAbortedError):
+            engine.sweep_with_report(("stide",), suite)
+        assert _handoff_files() == []
+
+
+@pytest.mark.faults
+class TestCrashCleanup:
+    def test_crashed_workers_leave_no_handoff_file(self, suite):
+        """Workers hard-killed mid-task must not strand the handoff."""
+        from repro.runtime import FaultSchedule, ResiliencePolicy, RetryPolicy
+
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(retries=3, backoff=0.01, jitter=0.0),
+            fault_schedule=FaultSchedule(rate=0.4, seed=11, kinds=("crash",)),
+        )
+        engine = SweepEngine(
+            max_workers=2, executor="process", resilience=policy
+        )
+        engine.sweep_with_report(("stide",), suite)
+        assert _handoff_files() == []
+
+    def test_killed_sweep_process_leaves_no_workers_or_handoff(self):
+        """SIGKILL of the sweeping process must not strand its pool."""
+        script = textwrap.dedent(
+            """
+            from repro.datagen.suite import build_suite
+            from repro.datagen.training import generate_training_data
+            from repro.params import scaled_params
+            from repro.runtime import FaultSchedule, ResiliencePolicy, SweepEngine
+
+            suite = build_suite(
+                training=generate_training_data(scaled_params(8_000, seed=11))
+            )
+            hang = FaultSchedule(rate=1.0, kinds=("hang",), hang_seconds=120.0)
+            print("sweeping", flush=True)
+            SweepEngine(
+                max_workers=2, resilience=ResiliencePolicy(fault_schedule=hang)
+            ).sweep(["stide"], suite)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        victim = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=REPO,
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        children = Path(f"/proc/{victim.pid}/task/{victim.pid}/children")
+        workers: list[int] = []
+        try:
+            assert victim.stdout.readline().strip() == "sweeping"
+            deadline = time.monotonic() + 60
+            # Wait for the handoff file and both (hanging) workers.
+            while not (_handoff_files(victim.pid) and len(workers) >= 2):
+                assert victim.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+                workers = [int(pid) for pid in children.read_text().split()]
+            victim.kill()
+            victim.wait(timeout=10)
+            deadline = time.monotonic() + 20
+            while (
+                _handoff_files(victim.pid)
+                or any(_alive(pid) for pid in workers)
+            ) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in workers if _alive(pid)] == []
+            assert _handoff_files(victim.pid) == []
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+                victim.wait(timeout=10)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, 9)
+            for path in _handoff_files(victim.pid):
+                os.unlink(path)

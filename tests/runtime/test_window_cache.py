@@ -207,31 +207,6 @@ class TestReleaseStream:
         np.testing.assert_array_equal(inverse, again_inverse)
 
 
-class TestSeededDecomposition:
-    def test_seed_installs_and_serves(self, cache):
-        view = windows_array(STREAM, 3)
-        rows, inverse, counts = np.unique(
-            view, axis=0, return_inverse=True, return_counts=True
-        )
-        assert cache.seed_decomposition(
-            STREAM, 3, rows, inverse.reshape(-1), counts
-        )
-        served_rows, served_inverse = cache.unique(STREAM, 3)
-        assert served_rows is rows
-        np.testing.assert_array_equal(served_inverse, inverse.reshape(-1))
-        assert cache.stats.hits == 1  # served from the seeded entry
-
-    def test_seed_does_not_overwrite(self, cache):
-        first_rows, _ = cache.unique(STREAM, 3)
-        other = np.zeros((1, 3), dtype=np.int64)
-        assert not cache.seed_decomposition(
-            STREAM, 3, other, np.zeros(10, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-        )
-        again, _ = cache.unique(STREAM, 3)
-        assert again is first_rows
-
-
 class TestValidatedMemo:
     def test_validation_runs_once_per_stream(self, cache):
         calls = []
