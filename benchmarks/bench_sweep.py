@@ -47,8 +47,9 @@ KERNEL_WINDOW = 6
 MAX_RESILIENCE_OVERHEAD = 0.05  # fraction of the default-policy wall clock
 MAX_TELEMETRY_OVERHEAD = 0.05  # disabled-path cost of the instrumentation
 OVERHEAD_REPS = 3
-# Fit-phase floors: the shared training index amortizes one sort over
-# every (family, DW) fit; a store-warm pass performs zero fits at all.
+# Fit-phase floors: the shared counting chain amortizes one refinement
+# per order over every (family, DW) fit; a store-warm pass performs
+# zero fits at all.
 # --quick corpora are sort-cheap, so the floors relax there.
 MIN_INDEX_FIT_SPEEDUP = 5.0
 MIN_INDEX_FIT_SPEEDUP_QUICK = 2.5
@@ -379,10 +380,11 @@ def test_fit_phase(suite, quick, tmp_path):
     * **cold** — the direct per-cell reference: no cache, no store;
       every fit re-slides, re-packs and re-sorts the training stream
       from scratch, exactly as a standalone ``fit`` call would;
-    * **index** — one shared :class:`WindowCache`: the incremental
-      training index derives every DW's unique-window table from the
-      DW-1 table, and all families share it (one sort lineage for the
-      whole grid instead of one sort per cell);
+    * **index** — one shared :class:`WindowCache`: its one
+      :class:`~repro.sequences.ngram_store.NgramStore` per stream
+      counts every DW's windows by refining the DW-1 order, and all
+      families fold the same packed tables (one counting chain for
+      the whole grid instead of one sort per cell);
     * **store-warm** — a pre-populated :class:`ArtifactStore`: every
       fit is a content-addressed load, zero training work.
 

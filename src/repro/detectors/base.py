@@ -24,6 +24,7 @@ import numpy as np
 from repro.exceptions import DetectorConfigurationError, NotFittedError, WindowError
 from repro.runtime import telemetry
 from repro.runtime.fitindex import FitRecord
+from repro.runtime.kernels import merge_sorted_counts
 from repro.runtime.store import fit_key, streams_digest
 from repro.sequences.windows import pack_windows, window_count, windows_array
 
@@ -235,33 +236,75 @@ class AnomalyDetector(abc.ABC):
         length = self._window_length if window_length is None else window_length
         return cache.unique_counts(stream, length)  # type: ignore[attr-defined]
 
-    def _packed_database(self, stream: np.ndarray) -> np.ndarray | None:
-        """Cached sorted packed windows of ``stream``, or ``None``.
+    def _window_table(
+        self, stream: np.ndarray, window_length: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted packed codes of ``stream``'s windows, with their counts.
 
-        The membership table Stide/t-Stide fits reduce to at packable
-        cells, served by :meth:`WindowCache.packed_db` so every fit on
-        the same (stream, DW) shares one array.  ``None`` without an
-        attached cache.
+        The table the count families fold: read off the attached
+        cache's counting chain (:meth:`WindowCache.packed_db` and
+        :meth:`WindowCache.unique_counts`, shared by every family and
+        fit on the same stream), else one packed ``np.unique``.  The
+        same arrays either way, since packing preserves lexicographic
+        order.
         """
+        length = self._window_length if window_length is None else window_length
         cache = self._window_cache
         if cache is None:
-            return None
-        return cache.packed_db(  # type: ignore[attr-defined]
-            stream, self._window_length, self._alphabet_size
+            return np.unique(
+                self._packed_direct(stream, length), return_counts=True
+            )
+        _rows, counts = cache.unique_counts(  # type: ignore[attr-defined]
+            stream, length
         )
+        codes = cache.packed_db(  # type: ignore[attr-defined]
+            stream, length, self._alphabet_size
+        )
+        return codes, counts
+
+    def _fold_tables(
+        self, streams: list[np.ndarray], window_length: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every stream's :meth:`_window_table`, folded into an empty table.
+
+        A cold fit is the fold :meth:`update_batch` runs on a delta
+        tail, started from nothing:
+        :func:`~repro.runtime.kernels.merge_sorted_counts` is bit-
+        identical to ``np.unique`` over the concatenated tables plus a
+        scatter-add of their counts, and returns a lone stream's table
+        as it is.  Streams shorter than the window add nothing.
+        """
+        length = self._window_length if window_length is None else window_length
+        codes = counts = np.zeros(0, dtype=np.int64)
+        for stream in streams:
+            if len(stream) >= length:
+                codes, counts = merge_sorted_counts(
+                    codes, counts, *self._window_table(stream, length)
+                )
+        return codes, counts
 
     # -- streaming delta fits -----------------------------------------------------
+
+    #: The attribute holding the sorted packed table :meth:`update_batch`
+    #: folds into; ``None`` for families without a delta path.
+    _delta_table: str | None = None
 
     @property
     def supports_delta_fit(self) -> bool:
         """Whether :meth:`update_batch` can extend this fitted state.
 
-        ``True`` only for the count-based families (Stide, t-Stide,
-        Markov) whose fitted state is a mergeable frequency table *and*
-        whose current fit holds the packed representation.  Families
-        without an incremental form (e.g. the neural network) refit.
+        ``True`` only for a fitted count family (Stide, t-Stide,
+        Markov) whose fit holds its packed table
+        (:attr:`_delta_table`).  Fits past the 63-bit packing budget
+        hold tuple tables instead and refit, as do families without an
+        incremental form (e.g. the neural network).
         """
-        return False
+        table = self._delta_table
+        return (
+            self.is_fitted
+            and table is not None
+            and getattr(self, table) is not None
+        )
 
     def update_batch(
         self,
@@ -290,14 +333,29 @@ class AnomalyDetector(abc.ABC):
 
         Raises:
             DetectorConfigurationError: for families without a delta
-                path, or fits that lost the packed representation.
+                path, or fits without a packed table
+                (:attr:`supports_delta_fit`).
             NotFittedError: if :meth:`fit` has not been called.
             WindowError: on a wrong-length ``prior_tail``, an empty
                 batch, or out-of-alphabet codes.
         """
-        raise DetectorConfigurationError(
-            f"{self.name} has no streaming delta-fit path; refit instead"
-        )
+        combined = self._delta_combined(new_events, prior_tail)
+        if not self.supports_delta_fit:
+            raise DetectorConfigurationError(
+                f"this {self.name} fit has no packed table to fold a "
+                "delta into; refit instead"
+            )
+        self._fold_delta(combined)
+        telemetry.count("detector.delta_update")
+        return self
+
+    def _fold_delta(self, combined: np.ndarray) -> None:
+        """Merge the windows of a validated delta tail into the tables.
+
+        Count families override this; :meth:`update_batch` calls it
+        only when :attr:`supports_delta_fit` holds.
+        """
+        raise NotImplementedError
 
     def clone_unfitted(self) -> "AnomalyDetector":
         """A fresh unfitted detector with this one's configuration.
@@ -356,26 +414,18 @@ class AnomalyDetector(abc.ABC):
             raise WindowError("update_batch requires at least one new event")
         return np.concatenate([tail, new])
 
-    def _delta_packed(
-        self, combined: np.ndarray, window_length: int | None = None
+    def _packed_direct(
+        self, stream: np.ndarray, window_length: int | None = None
     ) -> np.ndarray:
-        """Packed windows of a delta tail, bypassing the window cache.
+        """Packed windows of ``stream``, bypassing the window cache.
 
         Delta tails are one-shot streams (a fresh batch every call),
         so caching their sliding views would only grow the cache; the
         direct slide-and-pack is a handful of vector ops over a batch-
-        sized array.
+        sized array.  Uncached fits pack the same way.
         """
         length = self._window_length if window_length is None else window_length
-        return pack_windows(windows_array(combined, length), self._alphabet_size)
-
-    def _note_delta_update(self) -> None:
-        """Bookkeeping after a successful in-place delta merge.
-
-        Delta-updated state is persisted by the caller's own keying
-        (e.g. the sharded fleet store), not the fit-key protocol.
-        """
-        telemetry.count("detector.delta_update")
+        return pack_windows(windows_array(stream, length), self._alphabet_size)
 
     # -- training ----------------------------------------------------------------
 
@@ -439,11 +489,9 @@ class AnomalyDetector(abc.ABC):
         """Canonical int64 view of ``stream``, alphabet-checked.
 
         With a cache attached, validation of ndarray streams is
-        memoized per (stream identity, alphabet): ``fit_many`` used to
-        re-validate the same training stream once per detector of a
-        sweep, which is pure rescanning — see the micro-benchmark note
-        in ``benchmarks/bench_sweep.py``.  Non-ndarray inputs (lists)
-        have no stable identity and validate inline.
+        memoized per (stream identity, alphabet), so a sweep scans its
+        training stream once, not once per detector.  Non-ndarray
+        inputs (lists) have no stable identity and validate inline.
         """
         cache = self._window_cache
         if cache is not None and isinstance(stream, np.ndarray):

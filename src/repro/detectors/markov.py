@@ -40,8 +40,6 @@ conversion.  Both paths implement the identical response function.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector
@@ -74,6 +72,7 @@ class MarkovDetector(AnomalyDetector):
     """
 
     name = "markov"
+    _delta_table = "_joint_codes"
 
     def __init__(
         self,
@@ -124,32 +123,6 @@ class MarkovDetector(AnomalyDetector):
         view = self._windows_view(stream, length)
         return np.unique(view, axis=0, return_counts=True)
 
-    def _packed_count_table(
-        self, streams: list[np.ndarray], length: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted (codes, counts) over all streams' ``length``-grams.
-
-        Distinct rows arrive in lexicographic order, and packing is
-        order-preserving, so each stream contributes an already-sorted
-        code array; multi-stream tables merge via one ``np.unique``
-        plus a scatter-add.
-        """
-        value_parts, count_parts = [], []
-        for stream in streams:
-            if len(stream) < length:
-                continue
-            rows, counts = self._unique_rows(stream, length)
-            value_parts.append(pack_windows(rows, self.alphabet_size))
-            count_parts.append(counts.astype(np.int64, copy=False))
-        if len(value_parts) == 1:
-            return value_parts[0], count_parts[0]
-        values, inverse = np.unique(
-            np.concatenate(value_parts), return_inverse=True
-        )
-        counts = np.zeros(len(values), dtype=np.int64)
-        np.add.at(counts, inverse, np.concatenate(count_parts))
-        return values, counts
-
     def _count(
         self, streams: list[np.ndarray], length: int
     ) -> dict[tuple[int, ...], int]:
@@ -168,11 +141,11 @@ class MarkovDetector(AnomalyDetector):
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
         if self._packable:
-            self._joint_codes, self._joint_counts = self._packed_count_table(
-                training_streams, self.window_length
+            self._joint_codes, self._joint_counts = self._fold_tables(
+                training_streams
             )
-            self._context_codes, self._context_counts_arr = (
-                self._packed_count_table(training_streams, self.window_length - 1)
+            self._context_codes, self._context_counts_arr = self._fold_tables(
+                training_streams, self.window_length - 1
             )
             self._total_windows = int(self._joint_counts.sum())
             self._window_counts = {}
@@ -192,10 +165,6 @@ class MarkovDetector(AnomalyDetector):
             f"unseen={self._unseen_context_response!r}"
         )
 
-    @property
-    def supports_delta_fit(self) -> bool:
-        return self.is_fitted and self._joint_codes is not None
-
     def clone_unfitted(self) -> "MarkovDetector":
         return type(self)(
             self.window_length,
@@ -204,53 +173,34 @@ class MarkovDetector(AnomalyDetector):
             self._unseen_context_response,
         )
 
-    def update_batch(
-        self,
-        new_events: Sequence[int] | np.ndarray,
-        prior_tail: Sequence[int] | np.ndarray,
-    ) -> "MarkovDetector":
+    def _fold_delta(self, combined: np.ndarray) -> None:
         """Fold a batch's joint and context count deltas into the tables.
 
         Two packed ``np.unique`` passes over the combined tail (orders
         ``DW`` and ``DW - 1``) produce the delta count tables, which
-        splice into the retained sorted tables by bisection
-        (:func:`~repro.runtime.kernels.merge_sorted_counts`).  The
-        context windows of the combined tail over-count the full
-        stream by exactly one gram: the window at position 0 lies
-        entirely inside the old stream (it is the old stream's final
-        ``DW - 1``-gram, so it is already counted — and already
-        present — in the old context table).  Its delta count is
-        decremented before the merge, which restores bit-identity with
-        a cold refit.
+        fold into the retained sorted tables by bisection
+        (:func:`~repro.runtime.kernels.merge_sorted_counts`), as a cold
+        fit folds each training stream.  The context windows of the
+        combined tail over-count the full stream by exactly one gram:
+        the window at position 0 lies entirely inside the old stream
+        (it is the old stream's final ``DW - 1``-gram, so it is already
+        counted — and already present — in the old context table).
+        Its delta count is decremented before the merge, which restores
+        bit-identity with a cold refit.
         """
-        combined = self._delta_combined(new_events, prior_tail)
-        if self._joint_codes is None:
-            raise DetectorConfigurationError(
-                "markov delta fits require the packed count tables (this "
-                "fit exceeded the 63-bit packing budget)"
-            )
         joint_values, joint_counts = np.unique(
-            self._delta_packed(combined), return_counts=True
+            self._packed_direct(combined), return_counts=True
         )
-        ctx_packed = self._delta_packed(combined, self.window_length - 1)
+        ctx_packed = self._packed_direct(combined, self.window_length - 1)
         ctx_values, ctx_counts = np.unique(ctx_packed, return_counts=True)
-        ctx_counts = ctx_counts.astype(np.int64, copy=True)
         ctx_counts[np.searchsorted(ctx_values, ctx_packed[0])] -= 1
         self._joint_codes, self._joint_counts = merge_sorted_counts(
-            self._joint_codes,
-            self._joint_counts,
-            joint_values,
-            joint_counts.astype(np.int64, copy=False),
+            self._joint_codes, self._joint_counts, joint_values, joint_counts
         )
         self._context_codes, self._context_counts_arr = merge_sorted_counts(
-            self._context_codes,
-            self._context_counts_arr,
-            ctx_values,
-            ctx_counts,
+            self._context_codes, self._context_counts_arr, ctx_values, ctx_counts
         )
         self._total_windows += len(combined) - self.window_length + 1
-        self._note_delta_update()
-        return self
 
     def _fit_state(self) -> dict[str, np.ndarray] | None:
         total = np.asarray(self._total_windows, dtype=np.int64)

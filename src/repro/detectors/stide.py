@@ -12,12 +12,9 @@ sequence shorter than its window (Figure 5 of the paper).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector
-from repro.exceptions import DetectorConfigurationError
 from repro.runtime import telemetry
 from repro.runtime.kernels import merge_sorted_unique, sorted_membership
 from repro.sequences.windows import pack_windows, packable as _packable
@@ -34,6 +31,7 @@ class StideDetector(AnomalyDetector):
     """
 
     name = "stide"
+    _delta_table = "_packed_db"
 
     def __init__(self, window_length: int, alphabet_size: int) -> None:
         super().__init__(window_length, alphabet_size, response_tolerance=0.0)
@@ -51,21 +49,7 @@ class StideDetector(AnomalyDetector):
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
         if _packable(self.alphabet_size, self.window_length):
-            parts = []
-            for stream in training_streams:
-                cached = self._packed_database(stream)
-                if cached is not None:
-                    # One shared table per (stream, DW) across fits
-                    # (lexicographic rows pack sorted — identical to
-                    # np.unique(packed)).
-                    parts.append(cached)
-                else:
-                    parts.append(np.unique(self._packed_view(stream)))
-            self._packed_db = (
-                parts[0]
-                if len(parts) == 1
-                else np.unique(np.concatenate(parts))
-            )
+            self._packed_db, _counts = self._fold_tables(training_streams)
             self._tuple_db = None
         else:
             database: set[tuple[int, ...]] = set()
@@ -76,36 +60,20 @@ class StideDetector(AnomalyDetector):
             self._tuple_db = database
             self._packed_db = None
 
-    @property
-    def supports_delta_fit(self) -> bool:
-        return self.is_fitted and self._packed_db is not None
-
-    def update_batch(
-        self,
-        new_events: Sequence[int] | np.ndarray,
-        prior_tail: Sequence[int] | np.ndarray,
-    ) -> "StideDetector":
+    def _fold_delta(self, combined: np.ndarray) -> None:
         """Merge the appended windows into the packed normal database.
 
         The new distinct windows are exactly the distinct ``DW``-grams
-        of ``prior_tail ++ new_events``; packing preserves
-        lexicographic order, so one ``np.unique`` over the packed
-        batch plus a bisection splice into the sorted database
+        of the combined tail; packing preserves lexicographic order, so
+        one ``np.unique`` over the packed batch plus a bisection splice
+        into the sorted database
         (:func:`~repro.runtime.kernels.merge_sorted_unique`)
-        reproduces a cold refit's ``np.unique`` over the full stream
-        bit for bit.  A batch with no unseen windows — the saturated
-        steady state — leaves the database array untouched.
+        reproduces a cold refit bit for bit.  A batch with no unseen
+        windows — the saturated steady state — leaves the database
+        array untouched.
         """
-        combined = self._delta_combined(new_events, prior_tail)
-        if self._packed_db is None:
-            raise DetectorConfigurationError(
-                "stide delta fits require the packed database (this fit "
-                "exceeded the 63-bit packing budget)"
-            )
-        delta = np.unique(self._delta_packed(combined))
+        delta = np.unique(self._packed_direct(combined))
         self._packed_db = merge_sorted_unique(self._packed_db, delta)
-        self._note_delta_update()
-        return self
 
     def _fit_state(self) -> dict[str, np.ndarray] | None:
         if self._packed_db is not None:

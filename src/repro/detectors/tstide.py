@@ -17,8 +17,6 @@ Response semantics:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector
@@ -39,6 +37,7 @@ class TStideDetector(AnomalyDetector):
     """
 
     name = "t-stide"
+    _delta_table = "_packed_counts"
 
     def __init__(
         self,
@@ -67,38 +66,12 @@ class TStideDetector(AnomalyDetector):
         return self._rare_threshold
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
-        total = 0
         if packable(self.alphabet_size, self.window_length):
-            value_parts, count_parts = [], []
-            for stream in training_streams:
-                shared = self._shared_unique_counts(stream)
-                if shared is not None:
-                    _rows, stream_counts = shared
-                    # Count-aligned with the decomposition rows, and
-                    # the same array Stide's fit of this stream shares.
-                    stream_values = self._packed_database(stream)
-                else:
-                    stream_values, stream_counts = np.unique(
-                        self._packed_view(stream), return_counts=True
-                    )
-                value_parts.append(stream_values)
-                count_parts.append(stream_counts)
-                total += int(stream_counts.sum())
-            if len(value_parts) == 1:
-                values, counts = value_parts[0], count_parts[0]
-            else:
-                values, inverse = np.unique(
-                    np.concatenate(value_parts), return_inverse=True
-                )
-                counts = np.zeros(len(values), dtype=np.int64)
-                np.add.at(counts, inverse, np.concatenate(count_parts))
-            common = values[counts >= self._rare_threshold * total]
-            self._common_packed = common
+            values, counts = self._fold_tables(training_streams)
+            self._set_table(values, counts, int(counts.sum()))
             self._common_tuples = None
-            self._packed_values = values
-            self._packed_counts = counts.astype(np.int64, copy=False)
-            self._total_windows = total
         else:
+            total = 0
             counts: dict[tuple[int, ...], int] = {}
             for stream in training_streams:
                 view = self._windows_view(stream)
@@ -115,59 +88,39 @@ class TStideDetector(AnomalyDetector):
             self._packed_counts = None
             self._total_windows = total
 
+    def _set_table(self, values: np.ndarray, counts: np.ndarray, total: int) -> None:
+        """Adopt a packed (value, count) table and derive its common filter."""
+        self._packed_values = values
+        self._packed_counts = counts
+        self._total_windows = total
+        self._common_packed = values[counts >= self._rare_threshold * total]
+
     def _extra_fingerprint(self) -> str:
         return f"rare={self._rare_threshold!r}"
-
-    @property
-    def supports_delta_fit(self) -> bool:
-        return (
-            self.is_fitted
-            and self._packed_values is not None
-            and self._packed_counts is not None
-        )
 
     def clone_unfitted(self) -> "TStideDetector":
         return type(self)(
             self.window_length, self.alphabet_size, self._rare_threshold
         )
 
-    def update_batch(
-        self,
-        new_events: Sequence[int] | np.ndarray,
-        prior_tail: Sequence[int] | np.ndarray,
-    ) -> "TStideDetector":
+    def _fold_delta(self, combined: np.ndarray) -> None:
         """Merge appended window counts and re-derive the common table.
 
         The batch's distinct ``DW``-grams and counts are one packed
-        ``np.unique`` over the combined tail; merging into the
-        retained sorted table is a bisection splice
-        (:func:`~repro.runtime.kernels.merge_sorted_counts`) — bit-
-        identical to the ``np.unique`` + scatter-add a multi-stream
-        cold fit uses, so the re-filtered common table matches
-        refitting on the full stream exactly.
+        ``np.unique`` over the combined tail, folded into the retained
+        sorted table by bisection
+        (:func:`~repro.runtime.kernels.merge_sorted_counts`) — the
+        fold a cold fit runs per training stream, so the re-filtered
+        common table matches refitting on the full stream exactly.
         """
-        combined = self._delta_combined(new_events, prior_tail)
-        if self._packed_values is None or self._packed_counts is None:
-            raise DetectorConfigurationError(
-                "t-stide delta fits require the packed count table (this "
-                "fit exceeded the 63-bit packing budget)"
-            )
         delta_values, delta_counts = np.unique(
-            self._delta_packed(combined), return_counts=True
+            self._packed_direct(combined), return_counts=True
         )
         values, counts = merge_sorted_counts(
-            self._packed_values,
-            self._packed_counts,
-            delta_values,
-            delta_counts.astype(np.int64, copy=False),
+            self._packed_values, self._packed_counts, delta_values, delta_counts
         )
         total = self._total_windows + (len(combined) - self.window_length + 1)
-        self._packed_values = values
-        self._packed_counts = counts
-        self._total_windows = total
-        self._common_packed = values[counts >= self._rare_threshold * total]
-        self._note_delta_update()
-        return self
+        self._set_table(values, counts, total)
 
     def _fit_state(self) -> dict[str, np.ndarray] | None:
         if self._common_packed is not None:

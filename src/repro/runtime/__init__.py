@@ -47,10 +47,8 @@ from importlib import import_module
 _EXPORTS: dict[str, str] = {
     "CacheStats": "repro.runtime.cache",
     "WindowCache": "repro.runtime.cache",
-    "Decomposition": "repro.runtime.fitindex",
     "FitRecord": "repro.runtime.fitindex",
     "FitStats": "repro.runtime.fitindex",
-    "TrainingIndex": "repro.runtime.fitindex",
     "ArtifactStore": "repro.runtime.store",
     "STORE_SCHEMA_VERSION": "repro.runtime.store",
     "StoreStats": "repro.runtime.store",

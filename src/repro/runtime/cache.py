@@ -13,8 +13,15 @@ arrays to every consumer:
   bits per symbol, one ``int64`` key per window);
 * ``unique``    — the distinct windows plus the inverse scatter index
   (the basis of unique-window memoized scoring);
+* ``counts``    — the distinct windows plus their occurrence counts
+  (the frequency table every detector family's fit reduces to);
 * ``packed_db`` — a training stream's sorted distinct packed keys at
-  one order (the membership database Stide and t-Stide bisect).
+  one order (the table Stide, t-Stide and Markov fold).
+
+The last three read one :class:`~repro.sequences.ngram_store.NgramStore`
+per stream (DESIGN S56): the counting chain that also builds the
+evaluation suite, extended one order at a time as longer windows are
+asked for.
 
 Streams are keyed by identity: the cache retains a reference to every
 stream it has seen, so an ``id`` can never be recycled while the cache
@@ -36,7 +43,7 @@ sweep, ``engine.window_cache.stats`` therefore covers all backends.
 (Only the *counters* travel; the artifacts themselves stay
 process-local, which is the point of the process backend.)  Each
 worker keeps one cache for every task of a sweep and builds its own
-training index in it.
+counting chains in it.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.exceptions import WindowError
 from repro.runtime import telemetry
-from repro.runtime.fitindex import TrainingIndex
+from repro.sequences.ngram_store import NgramStore
 from repro.sequences.windows import pack_windows, windows_array
 
 #: Cache key: (stream identity, window length, artifact tag, extra).
@@ -85,7 +93,7 @@ class WindowCache:
         self._lock = threading.Lock()
         self._entries: dict[_Key, object] = {}
         self._streams: dict[int, np.ndarray] = {}
-        self._indexes: dict[int, TrainingIndex] = {}
+        self._stores: dict[int, NgramStore] = {}
         self._hits = 0
         self._misses = 0
 
@@ -120,7 +128,7 @@ class WindowCache:
         with self._lock:
             self._entries.clear()
             self._streams.clear()
-            self._indexes.clear()
+            self._stores.clear()
 
     def evict(self, stream: np.ndarray, window_length: int | None = None) -> int:
         """Drop the artifacts derived from ``stream``.
@@ -149,11 +157,11 @@ class WindowCache:
                 del self._entries[key]
             if not any(key[0] == stream_id for key in self._entries):
                 self._streams.pop(stream_id, None)
-                self._indexes.pop(stream_id, None)
+                self._stores.pop(stream_id, None)
         return len(doomed)
 
     def release_stream(self, stream: np.ndarray) -> int:
-        """Fully forget ``stream``: artifacts, training index, pin.
+        """Fully forget ``stream``: artifacts, counting chain, pin.
 
         The explicit antidote to the identity-keying footgun: the
         cache retains a reference to every stream it has seen so its
@@ -212,14 +220,14 @@ class WindowCache:
     ) -> np.ndarray:
         """Sorted distinct packed keys of ``stream`` at ``window_length``.
 
-        The membership database Stide and t-Stide bisect against:
-        derived from the shared unique decomposition (lexicographic
-        rows under order-preserving bit packing come out sorted), so
-        both families read one table per (training stream, order).
+        The packed table Stide, t-Stide and Markov fold, aligned with
+        :meth:`unique_counts`: lexicographic rows under order-preserving
+        bit packing come out sorted, so every family reads one table
+        per (training stream, order, alphabet).
         """
-        # Resolve the decomposition before entering _get: the cache
-        # lock is not reentrant.
-        rows, _inverse, _counts = self._decomposition(stream, window_length)
+        # Resolve the rows before entering _get: the cache lock is not
+        # reentrant.
+        rows, _counts = self.unique_counts(stream, window_length)
         key = (id(stream), window_length, "packed_db", alphabet_size)
         return self._get(stream, key, lambda: pack_windows(rows, alphabet_size))
 
@@ -232,10 +240,20 @@ class WindowCache:
         ``unique_rows[inverse]`` exactly the full window sequence —
         the decomposition behind unique-window memoized scoring.  Rows
         are in lexicographic order, matching
-        ``np.unique(windows, axis=0)``.
+        ``np.unique(windows, axis=0)``.  Asked for in ascending window
+        lengths, as a sweep does, each inverse is the chain's newest
+        order; any other order costs one walk of the stream.
+
+        Raises:
+            WindowError: when the stream is shorter than the window.
         """
-        rows, inverse, _counts = self._decomposition(stream, window_length)
-        return rows, inverse
+        key = (id(stream), window_length, "unique", -1)
+
+        def compute() -> tuple[np.ndarray, np.ndarray]:
+            store = self._chain(stream, window_length)
+            return store.rows(window_length), store.groups(window_length)
+
+        return self._get(stream, key, compute)
 
     def unique_counts(
         self, stream: np.ndarray, window_length: int
@@ -244,37 +262,45 @@ class WindowCache:
 
         Returns ``(unique_rows, counts)`` exactly as
         ``np.unique(windows, axis=0, return_counts=True)`` would — the
-        frequency table behind every detector family's fit — computed
-        (with its :meth:`unique` sibling) from one shared decomposition
-        per (stream, window length).
+        frequency table behind every detector family's fit — read off
+        the stream's counting chain, so no per-window array of the
+        order is kept.
+
+        Raises:
+            WindowError: when the stream is shorter than the window.
         """
-        rows, _inverse, counts = self._decomposition(stream, window_length)
-        return rows, counts
+        key = (id(stream), window_length, "counts", -1)
 
-    def _decomposition(
-        self, stream: np.ndarray, window_length: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The shared (rows, inverse, counts) unique decomposition.
-
-        Derived incrementally from the order below by
-        :class:`~repro.runtime.fitindex.TrainingIndex` — one counting
-        refinement per new order instead of a fresh slide + pack +
-        full sort per (window length, alphabet) — and keyed without
-        the alphabet, so every family at every alphabet shares one
-        entry per order.
-        Bit-identical to ``np.unique(view, axis=0, ...)``.
-        """
-        key = (id(stream), window_length, "unique", -1)
-
-        def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # Under the cache lock: index growth is serialized.
-            index = self._indexes.get(id(stream))
-            if index is None:
-                index = TrainingIndex(stream)
-                self._indexes[id(stream)] = index
-            return index.decomposition(window_length)
+        def compute() -> tuple[np.ndarray, np.ndarray]:
+            store = self._chain(stream, window_length)
+            return store.rows(window_length), store.row_counts(window_length)
 
         return self._get(stream, key, compute)
+
+    def _chain(self, stream: np.ndarray, window_length: int) -> NgramStore:
+        """``stream``'s counting chain, indexed through ``window_length``.
+
+        Called under the cache lock, so chain growth is serialized.
+        One chain per stream, keyed without the alphabet: every family
+        at every alphabet reads the same orders.
+        """
+        if len(stream) < window_length:
+            raise WindowError(
+                f"stream of length {len(stream)} is shorter than "
+                f"window length {window_length}"
+            )
+        store = self._stores.get(id(stream))
+        if store is not None and window_length in store.lengths:
+            return store
+        telemetry.count("fitindex.extensions")
+        with telemetry.span("fitindex", "extend", window_length=window_length):
+            if store is None:
+                store = self._stores[id(stream)] = NgramStore(
+                    [window_length], stream
+                )
+            else:
+                store.index(window_length)
+        return store
 
     def validated(self, stream: np.ndarray, alphabet_size: int, compute):
         """Memoized per-(stream, alphabet) training-stream validation.

@@ -1,10 +1,11 @@
 """Delta-fit verification: streaming updates audited against cold refits.
 
 The count-based families (Stide, t-Stide, Markov) support
-:meth:`~repro.detectors.base.AnomalyDetector.update_batch`: appended
-training events are folded into the packed tables through the
-:class:`~repro.runtime.fitindex.TrainingIndex` DW-1→DW refinement at a
-cost proportional to the batch.  The whole design rests on one claim —
+:meth:`~repro.detectors.base.AnomalyDetector.update_batch`: the
+windows of the appended tail are counted by one packed ``np.unique``
+and folded into the sorted packed tables by bisection — the fold a
+cold fit runs per training stream — at a cost proportional to the
+batch.  The whole design rests on one claim —
 the merged state is *bit-identical* to refitting cold on the full
 stream — and this module is the audit for that claim.
 

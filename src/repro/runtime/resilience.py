@@ -638,6 +638,7 @@ class ResilientRunner:
         inflight: dict[Future, tuple[_TaskState, int, float | None]] = {}
         pools: list[ProcessPoolExecutor] = []
         pool = self._new_pool(pools)
+        finished = False
 
         def requeue(state: _TaskState, attempt: int, not_before: float) -> None:
             # Closes over the *variable* ready, so rebinds below are seen.
@@ -701,9 +702,15 @@ class ResilientRunner:
                         f"its {timeout:.3g}s wall-clock budget"
                     )
                     self._retry_or_abort(state, attempt, error, requeue)
+            finished = True
         finally:
             for stale in pools:
-                stale.shutdown(wait=False, cancel_futures=True)
+                if stale is pool and finished:
+                    # Every task is done: join the workers, so no pool
+                    # thread is left for interpreter exit to tear down.
+                    stale.shutdown(wait=True)
+                else:
+                    stale.shutdown(wait=False, cancel_futures=True)
 
     def _handle_future(
         self,

@@ -8,9 +8,11 @@ two questions the paper's machinery asks constantly:
 * *how often, relative to all windows of its length?* (rarity — the
   paper defines rare as relative frequency below 0.5%).
 
-The counts come from one chain of orders (DESIGN S53), built by the
-counting refinement that also builds
-:class:`~repro.runtime.fitindex.TrainingIndex` levels (DESIGN S52).
+The counts come from one chain of orders (DESIGN S53, S56), built by
+the counting refinement of DESIGN S52.  It is the only window-count
+chain in the package: the evaluation suite's checks query it, and
+:class:`~repro.runtime.cache.WindowCache` keeps one per stream for the
+detector fits and memoized scoring of a sweep.
 Order 1 keeps the sorted distinct symbols.  Order ``L`` keys the window
 starting at ``i`` as ``group_{L-1}[i] * span + rank[i + L - 1]``, where
 ``rank`` is a symbol's order-1 group and ``span`` the number of
@@ -88,8 +90,10 @@ class NgramStore:
         self._counts: list[np.ndarray] = []
         self._first: list[np.ndarray] = []
         # Group of every window at the highest built order: the only
-        # per-window array kept, so that :meth:`index` can extend.
+        # per-window int64 array kept, so that :meth:`index` can extend.
         self._inverse = np.zeros(0, dtype=np.int64)
+        # Order-1 group of every symbol, in the narrowest integer type.
+        self._ranks = np.zeros(0, dtype=np.uint8)
         self._lengths: tuple[int, ...] = ()
         lengths = tuple(lengths)
         if not lengths:
@@ -110,35 +114,30 @@ class NgramStore:
             raise WindowError(f"window lengths must be positive, got {min(fresh)}")
         self._lengths = tuple(sorted(set(self._lengths) | fresh))
         top = max(self._lengths, default=0)
-        if len(self._keys) >= top:
-            return
-        ranks = None
-        if self._keys:
-            ranks = np.searchsorted(self._keys[0], self._stream)
         while len(self._keys) < top:
-            ranks = self._extend(ranks)
+            self._extend()
 
-    def _extend(self, ranks: np.ndarray | None) -> np.ndarray:
-        """Count order ``L = built + 1`` from order ``L - 1``; returns ``ranks``."""
+    def _extend(self) -> None:
+        """Count order ``L = built + 1`` from order ``L - 1``."""
         order = len(self._keys) + 1
         n = len(self._stream) - order + 1
-        if ranks is None:  # order 1: the distinct symbols themselves
+        if order == 1:  # the distinct symbols themselves
             keys, first, inverse, counts = np.unique(
                 self._stream, return_index=True, return_inverse=True, return_counts=True
             )
-            inverse = ranks = inverse.reshape(-1)
+            inverse = inverse.reshape(-1)
+            self._ranks = inverse.astype(np.min_scalar_type(max(len(keys) - 1, 0)))
         elif n < 1:
             keys = counts = first = inverse = np.zeros(0, dtype=np.int64)
         else:
             span = len(self._keys[0])
-            keys = self._inverse[:n] * span + ranks[order - 1 :]
+            keys = self._inverse[:n] * span + self._ranks[order - 1 :]
             inverse, counts, first = count_keys(keys, len(self._keys[-1]) * span)
             keys = keys[first]
         self._keys.append(keys)
         self._counts.append(np.append(counts, 0))
         self._first.append(first)
         self._inverse = inverse
-        return ranks
 
     # -- basic introspection -------------------------------------------------
 
@@ -163,13 +162,45 @@ class NgramStore:
         self._check(length)
         return len(self._first[length - 1])
 
+    def first(self, length: int) -> np.ndarray:
+        """Start of each distinct ``length``-gram's first occurrence.
+
+        Aligned with :meth:`rows`: exactly ``np.unique(view, axis=0,
+        return_index=True)``'s index.
+        """
+        self._check(length)
+        return self._first[length - 1]
+
     def rows(self, length: int) -> np.ndarray:
         """The distinct ``length``-grams as rows, in lexicographic order."""
-        self._check(length)
-        first = self._first[length - 1]
+        first = self.first(length)
         if not len(first):
             return np.zeros((0, length), dtype=self._stream.dtype)
         return windows_array(self._stream, length)[first]
+
+    def row_counts(self, length: int) -> np.ndarray:
+        """Occurrences of each of :meth:`rows`, aligned with them.
+
+        Exactly ``np.unique(view, axis=0, return_counts=True)``'s
+        counts; the store's own array, not a copy.
+        """
+        self._check(length)
+        return self._counts[length - 1][:-1]
+
+    def groups(self, length: int) -> np.ndarray:
+        """Group of every ``length``-window of the stream, in stream order.
+
+        ``rows(length)[groups(length)]`` is the sliding view: exactly
+        ``np.unique(view, axis=0, return_inverse=True)``'s inverse.
+        The highest built order's groups are kept; any other order
+        costs one walk of the stream up the chain.
+        """
+        self._check(length)
+        if length == len(self._keys):
+            return self._inverse
+        for _order, groups in self._walk(self._stream, length):
+            pass
+        return groups
 
     def ngrams(self, length: int) -> Iterator[Ngram]:
         """Iterate over the distinct ``length``-grams, lexicographically."""

@@ -7,7 +7,6 @@ import pytest
 
 from repro.datagen.background import generate_background, verify_background_clean
 from repro.exceptions import DataGenerationError
-from repro.sequences.ngram_store import NgramStore
 
 
 class TestGenerateBackground:

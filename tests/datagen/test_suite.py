@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datagen.anomalies import AnomalySynthesizer
 from repro.datagen.suite import EvaluationSuite, SuiteCase, build_suite
 from repro.exceptions import AnomalySynthesisError, InjectionError
 

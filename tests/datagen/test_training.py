@@ -8,7 +8,7 @@ import pytest
 from repro.datagen.markov_source import CycleJumpSource
 from repro.datagen.training import TrainingData, generate_training_data
 from repro.exceptions import DataGenerationError
-from repro.params import PaperParams, scaled_params
+from repro.params import scaled_params
 from repro.sequences.alphabet import Alphabet
 
 

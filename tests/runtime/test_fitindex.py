@@ -1,10 +1,13 @@
-"""Tests for repro.runtime.fitindex — the incremental training index.
+"""Tests for the fit index: the window cache's one counting chain per
+stream, and the fit accounting in :mod:`repro.runtime.fitindex`.
 
-The tentpole contract: for ANY window length, the index's
-(rows, inverse, counts) decomposition — derived incrementally, each
-order from the one below — is bit-identical to a direct
-``np.unique(view, axis=0, ...)``, and detector tables fitted through
-it are indistinguishable from tables fitted directly.
+The contract: for ANY window length, the ``unique``/``unique_counts``/
+``packed_db`` tables a :class:`~repro.runtime.cache.WindowCache` reads
+off its per-stream :class:`~repro.sequences.ngram_store.NgramStore`
+are bit-identical to a direct ``np.unique(view, axis=0, ...)``, and
+detector tables fitted through them are indistinguishable from tables
+fitted directly.  The chain itself is tested order by order in
+``tests/sequences/test_ngram_store.py``.
 """
 
 from __future__ import annotations
@@ -16,98 +19,78 @@ import pytest
 
 from repro.detectors.registry import create_detector
 from repro.exceptions import WindowError
-from repro.runtime import TrainingIndex, WindowCache
+from repro.runtime import WindowCache
 from repro.runtime.fitindex import FitLedger, FitRecord
-from repro.sequences.windows import windows_array
+from repro.sequences.windows import pack_windows, packable, windows_array
+from tests.sequences.test_ngram_store import (
+    assert_same,
+    random_stream as _stream,
+    unique_reference,
+)
 
 
-def _reference(stream: np.ndarray, window_length: int):
-    view = windows_array(stream, window_length)
-    rows, inverse, counts = np.unique(
-        view, axis=0, return_inverse=True, return_counts=True
-    )
-    return rows, inverse.reshape(-1), counts
-
-
-def _stream(alphabet_size: int, length: int = 600, seed: int = 11) -> np.ndarray:
-    rng = np.random.default_rng(seed + alphabet_size)
-    return rng.integers(0, alphabet_size, size=length).astype(np.int64)
-
-
-def _assert_levels_match_unique(stream: np.ndarray, orders) -> None:
-    """Every level equals ``np.unique(view, axis=0, ...)``, dtypes too."""
-    index = TrainingIndex(stream)
+def _assert_cache_matches_unique(
+    stream: np.ndarray, orders, alphabet_size: int | None = None
+) -> None:
+    """The cache's tables at every order equal ``np.unique``, dtypes too."""
+    cache = WindowCache()
     for window_length in orders:
-        view = windows_array(stream, window_length)
-        rows, first, inverse, counts = np.unique(
-            view,
-            axis=0,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
-        level = index.level(window_length)
-        for got, expected in (
-            (level.first, first),
-            (level.inverse, inverse.reshape(-1)),
-            (level.counts, counts),
-        ):
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
-        got_rows, got_inverse, got_counts = index.decomposition(window_length)
-        assert got_rows.dtype == rows.dtype
-        np.testing.assert_array_equal(got_rows, rows)
-        assert got_inverse is level.inverse and got_counts is level.counts
+        rows, _first, inverse, counts = unique_reference(stream, window_length)
+        got_rows, got_counts = cache.unique_counts(stream, window_length)
+        assert_same(got_rows, rows)
+        assert_same(got_counts, counts)
+        unique_rows, got_inverse = cache.unique(stream, window_length)
+        assert_same(unique_rows, rows)
+        assert_same(got_inverse, inverse)
+        if alphabet_size and packable(alphabet_size, window_length):
+            view = windows_array(stream, window_length)
+            assert_same(
+                cache.packed_db(stream, window_length, alphabet_size),
+                np.unique(pack_windows(view, alphabet_size)),
+            )
 
 
 class TestTrainingIndex:
+    """The cache's chain, read through the fit-side API."""
+
     @pytest.mark.parametrize("alphabet_size", range(2, 10))
     def test_bit_identical_to_direct_unique_over_grid(self, alphabet_size):
         """The acceptance grid: AS in 2..9 x DW in 1..15, bit-identical."""
-        _assert_levels_match_unique(_stream(alphabet_size), range(1, 16))
+        _assert_cache_matches_unique(
+            _stream(alphabet_size), range(1, 16), alphabet_size
+        )
 
     def test_unpackable_corner(self):
         """AS=32, DW=13: 65 bits — past the packed-integer budget."""
-        stream = _stream(32, length=400)
-        index = TrainingIndex(stream)
-        rows, inverse, counts = index.decomposition(13)
-        expected_rows, expected_inverse, expected_counts = _reference(stream, 13)
-        np.testing.assert_array_equal(rows, expected_rows)
-        np.testing.assert_array_equal(inverse, expected_inverse)
-        np.testing.assert_array_equal(counts, expected_counts)
+        _assert_cache_matches_unique(_stream(32, length=400), [13], 32)
 
     def test_descending_order_queries(self):
-        """Derivation is ascending internally; query order is free."""
-        stream = _stream(4)
-        index = TrainingIndex(stream)
-        for window_length in (9, 3, 6, 2):
-            rows, inverse, counts = index.decomposition(window_length)
-            expected_rows, _inverse, expected_counts = _reference(
-                stream, window_length
-            )
-            np.testing.assert_array_equal(rows, expected_rows)
-            np.testing.assert_array_equal(counts, expected_counts)
+        """The chain grows ascending; query order is free."""
+        _assert_cache_matches_unique(_stream(4), (9, 3, 6, 2), 4)
 
     def test_rows_are_reconstruction(self):
         stream = _stream(5)
-        index = TrainingIndex(stream)
-        rows, inverse, _counts = index.decomposition(4)
+        rows, inverse = WindowCache().unique(stream, 4)
         np.testing.assert_array_equal(rows[inverse], windows_array(stream, 4))
 
     def test_counts_sum_to_window_count(self):
         stream = _stream(3)
-        index = TrainingIndex(stream)
-        _rows, _inverse, counts = index.decomposition(7)
+        _rows, counts = WindowCache().unique_counts(stream, 7)
         assert counts.sum() == len(stream) - 7 + 1
 
     def test_too_long_window_raises(self):
         stream = np.arange(5, dtype=np.int64)
+        cache = WindowCache()
         with pytest.raises(WindowError):
-            TrainingIndex(stream).decomposition(6)
+            cache.unique_counts(stream, 6)
+        with pytest.raises(WindowError):
+            cache.unique(stream, 6)
+        with pytest.raises(WindowError):
+            WindowCache().unique(np.zeros(0, dtype=np.int64), 2)
 
     def test_bad_window_length_raises(self):
         with pytest.raises(WindowError):
-            TrainingIndex(_stream(3)).decomposition(0)
+            WindowCache().unique_counts(_stream(3), 0)
 
 
 class TestCountingRefinement:
@@ -116,9 +99,9 @@ class TestCountingRefinement:
     def test_key_space_past_the_window_count(self):
         """Alphabet 64, length 300: the low orders take the unique path."""
         stream = _stream(64, length=300)
-        span = TrainingIndex(stream).level(1).group_count
-        assert span * span > len(stream) - 1
-        _assert_levels_match_unique(stream, range(1, 16))
+        _rows, counts = WindowCache().unique_counts(stream, 1)
+        assert len(counts) ** 2 > len(stream) - 1
+        _assert_cache_matches_unique(stream, range(1, 16))
 
     def test_sparse_huge_symbols_size_nothing(self):
         """Symbol values {-5, 3, 10**12} size no array: only ranks do."""
@@ -126,16 +109,18 @@ class TestCountingRefinement:
         stream = rng.choice(np.array([-5, 3, 10**12]), size=500)
         tracemalloc.start()
         try:
-            TrainingIndex(stream).level(15)
+            WindowCache().unique_counts(stream, 15)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        _assert_levels_match_unique(stream, range(1, 16))
+        _assert_cache_matches_unique(stream, range(1, 16))
 
     def test_paper_training_stream(self, training):
         """The 60k paper stream: the dense path at every order."""
-        _assert_levels_match_unique(training.stream, range(1, 16))
+        _assert_cache_matches_unique(
+            training.stream, range(1, 16), training.alphabet.size
+        )
 
 
 class TestIndexDerivedDetectorTables:

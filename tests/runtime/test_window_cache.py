@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.detectors.registry import create_detector
 from repro.runtime import WindowCache
 from repro.sequences.windows import pack_windows, windows_array
 
@@ -193,7 +194,7 @@ class TestReleaseStream:
         assert cache.release_stream(STREAM) == 2
         assert len(cache) == 0
         assert id(STREAM) not in cache._streams
-        assert id(STREAM) not in cache._indexes
+        assert id(STREAM) not in cache._stores
 
     def test_release_unknown_stream_is_a_noop(self, cache):
         unknown = np.array([9, 9, 9], dtype=np.int64)
@@ -229,3 +230,42 @@ class TestValidatedMemo:
         cache.validated(STREAM, 4, compute)
         cache.validated(STREAM, 5, compute)
         assert len(calls) == 2
+
+
+def _per_window_arrays(root: object, stream: np.ndarray) -> list[np.ndarray]:
+    """int64 arrays reachable from ``root`` with one entry per window of
+    ``stream`` (any order up to 15), other than the stream itself."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if (
+                obj.ndim == 1
+                and obj.dtype == np.int64
+                and len(obj) >= len(stream) - 14
+                and not np.shares_memory(obj, stream)
+            ):
+                found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestChainMemory:
+    def test_fits_keep_one_per_window_array(self, training):
+        """Stide, t-Stide and Markov at DW 2..15 on the 60k stream hold
+        the chain's newest groups and no other per-window array."""
+        stream = training.stream
+        cache = WindowCache()
+        for family in ("stide", "t-stide", "markov"):
+            for window in range(2, 16):
+                detector = create_detector(family, window, training.alphabet.size)
+                detector.attach_cache(cache).fit(stream)
+        assert len(_per_window_arrays(cache, stream)) == 1

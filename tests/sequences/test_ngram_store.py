@@ -12,8 +12,32 @@ from hypothesis import strategies as st
 
 from repro.exceptions import WindowError
 from repro.sequences.ngram_store import NgramStore
+from repro.sequences.windows import windows_array
 
 STREAM = [0, 1, 2, 0, 1, 2, 0, 1, 3]
+
+
+def unique_reference(stream: np.ndarray, length: int):
+    """``(rows, first, inverse, counts)`` of ``np.unique(view, axis=0)``."""
+    rows, first, inverse, counts = np.unique(
+        windows_array(stream, length),
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return rows, first, inverse.reshape(-1), counts
+
+
+def assert_same(got: np.ndarray, expected: np.ndarray) -> None:
+    """Equal values and dtypes."""
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+def random_stream(alphabet_size: int, length: int = 600, seed: int = 11) -> np.ndarray:
+    rng = np.random.default_rng(seed + alphabet_size)
+    return rng.integers(0, alphabet_size, size=length).astype(np.int64)
 
 
 def naive_counts(stream, length: int) -> dict[tuple[int, ...], int]:
@@ -160,6 +184,73 @@ class TestIndex:
             tracemalloc.stop()
         assert store.distinct(15) > 8
         assert held < 2 * stream.nbytes
+
+
+class TestChain:
+    """Every order of the chain equals ``np.unique(view, axis=0, ...)``:
+    its rows, first starts, groups and counts, values and dtypes."""
+
+    @staticmethod
+    def assert_orders_match_unique(stream: np.ndarray, orders) -> None:
+        """Indexed one order at a time, as a sweep asks for them."""
+        store = NgramStore([orders[0]], stream)
+        for length in orders:
+            store.index(length)
+            rows, first, inverse, counts = unique_reference(stream, length)
+            assert_same(store.rows(length), rows)
+            assert_same(store.first(length), first)
+            assert_same(store.groups(length), inverse)
+            assert_same(store.row_counts(length), counts)
+
+    @pytest.mark.parametrize("alphabet_size", range(2, 10))
+    def test_bit_identical_to_unique_over_grid(self, alphabet_size):
+        """AS in 2..9 x orders 1..15."""
+        self.assert_orders_match_unique(random_stream(alphabet_size), range(1, 16))
+
+    def test_unpackable_corner(self):
+        """AS=32, DW=13: 65 bits, past the packed-integer budget."""
+        self.assert_orders_match_unique(random_stream(32, length=400), [13])
+
+    def test_descending_order_queries(self):
+        """Orders below the newest are one walk of the stream."""
+        stream = random_stream(4)
+        store = NgramStore([9], stream)
+        for length in (9, 3, 6, 2):
+            store.index(length)
+            _rows, first, inverse, counts = unique_reference(stream, length)
+            assert_same(store.groups(length), inverse)
+            assert_same(store.first(length), first)
+            assert_same(store.row_counts(length), counts)
+
+    def test_rows_are_reconstruction(self):
+        stream = random_stream(5)
+        store = NgramStore([4], stream)
+        np.testing.assert_array_equal(
+            store.rows(4)[store.groups(4)], windows_array(stream, 4)
+        )
+
+    def test_key_space_past_the_window_count(self):
+        """Alphabet 64, length 300: the low orders take the unique path."""
+        stream = random_stream(64, length=300)
+        assert NgramStore([1], stream).distinct(1) ** 2 > len(stream) - 1
+        self.assert_orders_match_unique(stream, range(1, 16))
+
+    def test_sparse_huge_symbols_size_nothing(self):
+        """Symbol values {-5, 3, 10**12} size no array: only ranks do."""
+        rng = np.random.default_rng(3)
+        stream = rng.choice(np.array([-5, 3, 10**12]), size=500)
+        tracemalloc.start()
+        try:
+            NgramStore([15], stream)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        self.assert_orders_match_unique(stream, range(1, 16))
+
+    def test_paper_training_stream(self, training):
+        """The 60k paper stream: the dense path at every order."""
+        self.assert_orders_match_unique(training.stream, range(1, 16))
 
 
 class TestWindowCounts:
