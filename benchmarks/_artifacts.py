@@ -2,41 +2,9 @@
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
 
-import numpy as np
-
 OUTPUT_DIR = Path(__file__).parent / "output"
-
-#: Memo: the calibration workload runs once per benchmark session.
-_CALIBRATION: float | None = None
-
-
-def machine_calibration(repetitions: int = 3) -> float:
-    """Seconds this machine takes for a fixed reference workload.
-
-    A deterministic sort-dominated kernel (the same primitive the
-    sweep's fit phase leans on), timed best-of-``repetitions``.
-    Recorded alongside wall-clock numbers in BENCH artifacts so the
-    CI regression check can rescale a committed baseline to the speed
-    of the machine actually running: a 25% tolerance on the *ratio*
-    of sweep time to calibration time survives hardware changes that
-    a raw-seconds tolerance would not.
-    """
-    global _CALIBRATION
-    if _CALIBRATION is None:
-        rng = np.random.default_rng(20260806)
-        data = rng.integers(0, 64, size=1_000_000).astype(np.int64)
-        best = float("inf")
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            order = np.argsort(data, kind="stable")
-            np.cumsum(data[order]).sum()
-            best = min(best, time.perf_counter() - start)
-        _CALIBRATION = best
-    return _CALIBRATION
 
 
 def write_artifact(name: str, content: str) -> Path:
@@ -44,12 +12,4 @@ def write_artifact(name: str, content: str) -> Path:
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{name}.txt"
     path.write_text(content + "\n")
-    return path
-
-
-def write_json_artifact(name: str, payload: dict) -> Path:
-    """Persist a machine-readable benchmark record (BENCH json)."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    path = OUTPUT_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

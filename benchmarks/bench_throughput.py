@@ -57,7 +57,7 @@ def test_batch_scoring_throughput(benchmark, training, name):
 
     The sweep engine's unique-window regime: deduplicate the test
     windows, push the whole batch through
-    :meth:`~repro.detectors.base.AnomalyDetector.score_batch` at once.
+    :meth:`~repro.detectors.base.AnomalyDetector.score_windows` at once.
     """
     detector = create_detector(name, WINDOW_LENGTH, 8)
     detector.fit(training.stream)
@@ -65,7 +65,7 @@ def test_batch_scoring_throughput(benchmark, training, name):
         windows_array(training.stream[:TEST_LENGTH], WINDOW_LENGTH), axis=0
     )
 
-    responses = benchmark(detector.score_batch, rows)
+    responses = benchmark(detector.score_windows, rows)
 
     assert len(responses) == len(rows)
     _BATCH_RESULTS[name] = len(rows) / benchmark.stats.stats.mean

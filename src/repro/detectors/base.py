@@ -564,7 +564,9 @@ class AnomalyDetector(abc.ABC):
         :meth:`score_window` of row ``i``.  This is the entry point of
         unique-window memoized scoring: deduplicate a repetitive test
         stream, score each distinct window once here, and scatter the
-        responses back (see :mod:`repro.runtime`).
+        responses back (see :mod:`repro.runtime`).  Each family backs
+        this with a batch kernel from :mod:`repro.runtime.kernels`, so
+        a whole batch is scored in a handful of numpy passes.
 
         Args:
             windows: 2-D batch of shape ``(n, DW)`` with in-alphabet
@@ -598,20 +600,6 @@ class AnomalyDetector(abc.ABC):
                 f"expected ({len(data)},)"
             )
         return responses
-
-    def score_batch(
-        self, windows: Sequence[Sequence[int]] | np.ndarray
-    ) -> np.ndarray:
-        """Vectorized kernel entry point; alias of :meth:`score_windows`.
-
-        Each family backs this with a batch kernel from
-        :mod:`repro.runtime.kernels` (packed ``searchsorted`` for the
-        sequence detectors, count-table lookups for Markov, broadcast
-        comparison tensors for the positional metrics, one batched
-        forward pass for the network), so an entire unique-window batch
-        is scored in a handful of numpy passes.
-        """
-        return self.score_windows(windows)
 
     def score_window(self, window: Sequence[int]) -> float:
         """Response for a single window (length exactly ``DW``)."""

@@ -149,7 +149,7 @@ def score_injected_memoized(
 
     Deduplicates the test stream's windows via the shared
     :class:`repro.runtime.WindowCache`, scores each distinct window
-    once with :meth:`~repro.detectors.base.AnomalyDetector.score_batch`,
+    once with :meth:`~repro.detectors.base.AnomalyDetector.score_windows`,
     and scatters the responses back to stream order before classifying.
     Bit-identical to :func:`score_injected` — only the evaluation order
     differs.
@@ -164,7 +164,7 @@ def score_injected_memoized(
         The classified outcome.
     """
     unique_rows, inverse = cache.unique(injected.stream, detector.window_length)
-    responses = detector.score_batch(unique_rows)[inverse]
+    responses = detector.score_windows(unique_rows)[inverse]
     return outcome_from_responses(
         responses,
         injected,

@@ -66,7 +66,6 @@ _EXPORTS: dict[str, str] = {
     "MEMOIZED_FAMILIES": "repro.runtime.engine",
     "SweepEngine": "repro.runtime.engine",
     "evaluate_window_block": "repro.runtime.engine",
-    "score_batch": "repro.runtime.kernels",
     "sorted_membership": "repro.runtime.kernels",
     "FAULT_KINDS": "repro.runtime.faults",
     "FaultSchedule": "repro.runtime.faults",

@@ -17,7 +17,7 @@ work through one supervised scheduler:
   (L&B's database comparison, the neural network's forward pass) the
   test stream is deduplicated, each distinct window is scored once via
   the vectorized batch kernels behind
-  :meth:`~repro.detectors.base.AnomalyDetector.score_batch`
+  :meth:`~repro.detectors.base.AnomalyDetector.score_windows`
   (see :mod:`repro.runtime.kernels`), and the responses are scattered
   back.  The injected streams are highly repetitive, so this cuts the
   comparison work by an order of magnitude without changing a single

@@ -17,9 +17,10 @@ in this module replace the walk with a single NumPy pass per batch:
   foil run as broadcasted comparison tensors with cumulative-run
   accumulation (:func:`lb_batch_similarity`,
   :func:`hamming_batch_distance`), chunked to bound memory;
-* **dispatch** — :func:`score_batch` is the uniform array-in/array-out
-  entry point (the neural network's batched forward pass already lives
-  behind ``score_windows``).
+* **dispatch** — ``AnomalyDetector.score_windows`` is the one
+  array-in/array-out entry point; each family's ``_score_windows``
+  calls the kernels above (the neural network's batched forward pass
+  lives there too).
 
 Every kernel is **bit-identical** to the scalar
 ``AnomalyDetector._score_windows`` fallback it replaces — the same
@@ -45,7 +46,6 @@ __all__ = [
     "markov_batch_response",
     "merge_sorted_counts",
     "merge_sorted_unique",
-    "score_batch",
     "sorted_membership",
 ]
 
@@ -301,16 +301,3 @@ def fused_stream_windows(
         spans.append((offset, offset + count))
         offset += len(data)
     return windows, spans
-
-
-def score_batch(detector, windows) -> np.ndarray:
-    """Array-in/array-out batch scoring through a fitted detector.
-
-    The uniform kernel entry point: validates the batch and routes it
-    to the family's vectorized ``_score_windows`` (one numpy pass per
-    batch for every detector in this reproduction).  Exactly
-    ``detector.score_windows`` — provided so sweep and test code can
-    treat "score this window matrix" as a kernel call rather than a
-    method of one detector instance.
-    """
-    return detector.score_windows(np.asarray(windows))

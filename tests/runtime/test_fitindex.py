@@ -139,7 +139,7 @@ class TestIndexDerivedDetectorTables:
         indexed.attach_cache(WindowCache())
         indexed.fit(stream)
         np.testing.assert_array_equal(
-            direct.score_batch(probe), indexed.score_batch(probe)
+            direct.score_windows(probe), indexed.score_windows(probe)
         )
 
     def test_unpackable_family_corner(self):
@@ -152,7 +152,7 @@ class TestIndexDerivedDetectorTables:
         indexed.attach_cache(WindowCache())
         indexed.fit(stream)
         np.testing.assert_array_equal(
-            direct.score_batch(probe), indexed.score_batch(probe)
+            direct.score_windows(probe), indexed.score_windows(probe)
         )
 
 

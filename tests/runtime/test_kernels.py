@@ -1,6 +1,6 @@
 """Kernel equivalence: batch scoring must match the scalar rules bit for bit.
 
-Every detector family's ``score_batch`` runs through a vectorized
+Every detector family's ``score_windows`` runs through a vectorized
 kernel (:mod:`repro.runtime.kernels`).  These tests pin each kernel to
 an *independent* reference implementation — plain Python loops over
 tuples and Counters, written directly from the papers' scoring rules,
@@ -108,7 +108,7 @@ class TestStideEquivalence:
             [0.0 if tuple(row) in database else 1.0 for row in probes.tolist()]
         )
         detector = StideDetector(window_length, alphabet_size).fit(stream)
-        np.testing.assert_array_equal(detector.score_batch(probes), expected)
+        np.testing.assert_array_equal(detector.score_windows(probes), expected)
 
 
 class TestTStideEquivalence:
@@ -124,7 +124,7 @@ class TestTStideEquivalence:
         detector = TStideDetector(
             window_length, alphabet_size, rare_threshold=rare_threshold
         ).fit(stream)
-        np.testing.assert_array_equal(detector.score_batch(probes), expected)
+        np.testing.assert_array_equal(detector.score_windows(probes), expected)
 
 
 def _markov_reference(
@@ -169,7 +169,7 @@ class TestMarkovEquivalence:
             rare_floor=rare_floor,
             unseen_context_response=unseen,
         ).fit(stream)
-        np.testing.assert_array_equal(detector.score_batch(probes), expected)
+        np.testing.assert_array_equal(detector.score_windows(probes), expected)
 
     def test_matches_scalar_window_response(self, grid):
         """The batch path equals the detector's own scalar rule."""
@@ -181,7 +181,7 @@ class TestMarkovEquivalence:
                 for row in probes
             ]
         )
-        np.testing.assert_array_equal(detector.score_batch(probes), scalar)
+        np.testing.assert_array_equal(detector.score_windows(probes), scalar)
 
 
 class TestLaneBrodleyEquivalence:
@@ -204,7 +204,7 @@ class TestLaneBrodleyEquivalence:
             ]
         )
         detector = LaneBrodleyDetector(window_length, alphabet_size).fit(stream)
-        np.testing.assert_array_equal(detector.score_batch(probes), expected)
+        np.testing.assert_array_equal(detector.score_windows(probes), expected)
 
 
 class TestHammingEquivalence:
@@ -222,7 +222,7 @@ class TestHammingEquivalence:
             ]
         )
         detector = HammingDetector(window_length, alphabet_size).fit(stream)
-        np.testing.assert_array_equal(detector.score_batch(probes), expected)
+        np.testing.assert_array_equal(detector.score_windows(probes), expected)
 
 
 class TestNeuralEquivalence:
@@ -235,7 +235,7 @@ class TestNeuralEquivalence:
             alphabet_size,
             config=MlpConfig(hidden_units=8, epochs=30),
         ).fit(stream)
-        batched = detector.score_batch(probes)
+        batched = detector.score_windows(probes)
         # The base class's default: one minimal stream per row.
         per_row = AnomalyDetector._score_windows(detector, probes)
         np.testing.assert_allclose(batched, per_row, rtol=0, atol=1e-12)

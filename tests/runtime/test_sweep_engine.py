@@ -71,11 +71,6 @@ class TestParallelSequentialEquivalence:
         for name in FAMILIES:
             _assert_maps_identical(serial_maps[name], engine_maps[name], suite)
 
-    def test_process_sweep_matches_serial(self, suite, serial_maps):
-        engine = SweepEngine(max_workers=2, executor="process")
-        engine_maps = engine.sweep(("stide",), suite)
-        _assert_maps_identical(serial_maps["stide"], engine_maps["stide"], suite)
-
     def test_run_paper_experiment_engine_wiring(self, suite, serial_maps):
         result = run_paper_experiment(
             suite=suite,

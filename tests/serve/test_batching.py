@@ -148,7 +148,7 @@ async def _fuzz_against_reference(
 
 
 class TestFuzzBitIdentity:
-    def test_batched_equals_sequential_all_families_both_tiers(self):
+    def test_batched_equals_sequential_all_families(self):
         """Seeded fuzz: fused batch scores == plain reference, bitwise."""
         run(_fuzz_against_reference(FAMILIES, WINDOWS, ALPHABET, 2026))
 
