@@ -24,7 +24,6 @@ import time
 import numpy as np
 from _artifacts import write_artifact
 
-from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import create_detector
 from repro.evaluation.performance_map import build_performance_map
 from repro.runtime import (
@@ -44,6 +43,7 @@ KERNEL_WINDOW = 6
 MAX_RESILIENCE_OVERHEAD = 0.05  # fraction of the default-policy wall clock
 MAX_TELEMETRY_OVERHEAD = 0.05  # disabled-path cost of the instrumentation
 OVERHEAD_REPS = 3
+REP_SECONDS = 1.0  # sweeping time per side in one timed unit
 # Fit-phase floors: the shared counting chain amortizes one refinement
 # per order over every (family, DW) fit; a store-warm pass performs
 # zero fits at all.
@@ -71,17 +71,27 @@ def _best_sweep_seconds(suite, *factories) -> list[float]:
     """Best-of-``OVERHEAD_REPS`` wall clock of each ``factory().sweep``.
 
     One untimed sweep runs first, so no timed sweep pays the first
-    process pool's start-up, and the factories take turns rep by rep,
-    so a burst of load on the host slows every side alike.
+    process pool's start-up, and a second sizes the timed unit: each
+    rep times enough sweeps per factory (a fresh engine each) to last
+    about ``REP_SECONDS``, so a short burst of host load moves a rep
+    less.
+    The factories take turns sweep by sweep, so load on the host slows
+    every side alike.  Returns seconds per sweep.
     """
     factories[0]().sweep(FAMILIES, suite)
+    start = time.perf_counter()
+    factories[0]().sweep(FAMILIES, suite)
+    sweeps = max(1, round(REP_SECONDS / (time.perf_counter() - start)))
     best = [float("inf")] * len(factories)
     for _ in range(OVERHEAD_REPS):
-        for index, factory in enumerate(factories):
-            engine = factory()
-            start = time.perf_counter()
-            engine.sweep(FAMILIES, suite)
-            best[index] = min(best[index], time.perf_counter() - start)
+        elapsed = [0.0] * len(factories)
+        for _ in range(sweeps):
+            for index, factory in enumerate(factories):
+                engine = factory()
+                start = time.perf_counter()
+                engine.sweep(FAMILIES, suite)
+                elapsed[index] += time.perf_counter() - start
+        best = [min(b, e / sweeps) for b, e in zip(best, elapsed)]
     return best
 
 
@@ -130,9 +140,10 @@ def test_batch_kernel_speedup(suite):
     The scoring-dominated regime of the sweep: every distinct test
     window of the suite at one mid-grid ``DW``, scored once.  The
     vectorized :meth:`~repro.detectors.base.AnomalyDetector.score_windows`
-    kernels must (a) return exactly the responses of the generic
-    per-row scalar fallback (the pre-kernel default batch path) and
-    (b) beat it by at least ``MIN_KERNEL_SPEEDUP`` on every family.
+    kernels must (a) return exactly the responses of the per-row
+    scalar loop (one :meth:`score_window` per row, each a one-window
+    stream) and (b) beat it by at least ``MIN_KERNEL_SPEEDUP`` on
+    every family.
     """
     alphabet_size = suite.training.alphabet.size
     rows = np.unique(
@@ -157,7 +168,7 @@ def test_batch_kernel_speedup(suite):
             batch_seconds = min(batch_seconds, time.perf_counter() - start)
 
         start = time.perf_counter()
-        scalar = AnomalyDetector._score_windows(detector, rows)
+        scalar = np.array([detector.score_window(row) for row in rows])
         scalar_seconds = time.perf_counter() - start
 
         mismatched_windows += int((batched != scalar).sum())
@@ -191,9 +202,9 @@ def test_resilience_overhead(suite):
     :class:`~repro.runtime.resilience.ResilientRunner`; the only
     difference is whether they run under the default policy or one
     with retries and a wall-clock timeout armed (never fired).
-    Best-of-``OVERHEAD_REPS`` timings, taken in turns after one
-    untimed sweep, keep scheduler noise and pool start-up out of the
-    ratio.
+    Best-of-``OVERHEAD_REPS`` timings of about one second of sweeps
+    per side, taken in turns after one untimed sweep, keep scheduler
+    noise and pool start-up out of the ratio.
     """
     # "plain" runs the default policy: no timeout armed.
     plain_seconds, resilient_seconds = _best_sweep_seconds(

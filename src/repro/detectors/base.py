@@ -26,6 +26,7 @@ from repro.runtime import telemetry
 from repro.runtime.fitindex import FitRecord
 from repro.runtime.kernels import merge_sorted_counts
 from repro.runtime.store import fit_key, streams_digest
+from repro.sequences.ngram_store import NgramStore
 from repro.sequences.windows import pack_windows, window_count, windows_array
 
 
@@ -108,10 +109,10 @@ class AnomalyDetector(abc.ABC):
     def attach_cache(self, cache: object | None) -> "AnomalyDetector":
         """Share a :class:`repro.runtime.WindowCache` with this detector.
 
-        Once attached, the detector's sliding and packing go through
-        the cache, so every consumer of the same (stream, window
-        length) pair — other detector families included — reuses one
-        derivation.  Pass ``None`` to detach.  Responses are unchanged
+        Once attached, the detector's window tables (fits) and
+        test-stream dedup (scores) go through the cache, so every
+        consumer of the same (stream, window length) pair — other
+        detector families included — reuses one derivation.  Pass ``None`` to detach.  Responses are unchanged
         either way; the cache only eliminates repeated work.
 
         Returns:
@@ -199,42 +200,47 @@ class AnomalyDetector(abc.ABC):
         """
         return False
 
-    def _windows_view(
-        self, stream: np.ndarray, window_length: int | None = None
-    ) -> np.ndarray:
-        """Sliding-window view of ``stream``, via the attached cache."""
-        length = self._window_length if window_length is None else window_length
-        cache = self._window_cache
-        if cache is not None:
-            return cache.windows(stream, length)  # type: ignore[attr-defined]
-        return windows_array(stream, length)
+    def _distinct_windows(
+        self, streams: list[np.ndarray], window_length: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct windows of ``streams`` with their counts.
 
-    def _packed_view(self, stream: np.ndarray) -> np.ndarray:
-        """Packed windows of ``stream``, via the attached cache."""
-        cache = self._window_cache
-        if cache is not None:
-            return cache.packed(  # type: ignore[attr-defined]
-                stream, self._window_length, self._alphabet_size
-            )
-        return pack_windows(
-            windows_array(stream, self._window_length), self._alphabet_size
-        )
-
-    def _shared_unique_counts(
-        self, stream: np.ndarray, window_length: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Cached (distinct windows, counts) of ``stream``, or ``None``.
-
-        The frequency table every family's fit reduces to, derived once
-        per (stream, window length) and shared across families.
-        ``None`` without an attached cache — callers keep their own
-        derivation as the uncached fallback.
+        The one window table every fit reads: rows in lexicographic
+        order with their occurrences over all of the streams, exactly
+        ``np.unique(windows, axis=0, return_counts=True)`` over every
+        stream's windows (windows never span two streams).  Each
+        stream's table comes off its counting chain: the attached
+        cache's (:meth:`WindowCache.unique_counts`, shared by every
+        family and fit on the stream), else an
+        :class:`~repro.sequences.ngram_store.NgramStore` built for the
+        call.  Several streams are merged here and nowhere else.
+        Streams shorter than the window add nothing.
         """
-        cache = self._window_cache
-        if cache is None:
-            return None
         length = self._window_length if window_length is None else window_length
-        return cache.unique_counts(stream, length)  # type: ignore[attr-defined]
+        cache = self._window_cache
+        tables = []
+        for stream in streams:
+            if len(stream) < length:
+                continue
+            if cache is not None:
+                tables.append(
+                    cache.unique_counts(stream, length)  # type: ignore[attr-defined]
+                )
+            else:
+                chain = NgramStore([length], stream)
+                tables.append((chain.rows(length), chain.row_counts(length)))
+        if len(tables) == 1:
+            return tables[0]
+        rows, inverse = np.unique(
+            np.concatenate([rows for rows, _ in tables]),
+            axis=0,
+            return_inverse=True,
+        )
+        counts = np.zeros(len(rows), dtype=np.int64)
+        np.add.at(
+            counts, inverse.reshape(-1), np.concatenate([c for _, c in tables])
+        )
+        return rows, counts
 
     def _window_table(
         self, stream: np.ndarray, window_length: int | None = None
@@ -561,12 +567,9 @@ class AnomalyDetector(abc.ABC):
 
         Unlike :meth:`score_stream`, the rows of ``windows`` are
         unrelated events — entry ``i`` of the result is exactly
-        :meth:`score_window` of row ``i``.  This is the entry point of
-        unique-window memoized scoring: deduplicate a repetitive test
-        stream, score each distinct window once here, and scatter the
-        responses back (see :mod:`repro.runtime`).  Each family backs
-        this with a batch kernel from :mod:`repro.runtime.kernels`, so
-        a whole batch is scored in a handful of numpy passes.
+        :meth:`score_window` of row ``i``.  It is the family's
+        :meth:`_score_windows`, the kernel :meth:`score_stream` runs
+        too (see :meth:`_score`), behind shape and alphabet checks.
 
         Args:
             windows: 2-D batch of shape ``(n, DW)`` with in-alphabet
@@ -591,13 +594,16 @@ class AnomalyDetector(abc.ABC):
                 "window codes outside the alphabet "
                 f"[0, {self._alphabet_size - 1}]"
             )
-        data = data.astype(np.int64, copy=False)
-        telemetry.observe("kernel.batch_size", len(data))
-        responses = self._score_windows(data)
-        if responses.shape != (len(data),):
+        return self._scored_batch(data.astype(np.int64, copy=False))
+
+    def _scored_batch(self, windows: np.ndarray) -> np.ndarray:
+        """:meth:`_score_windows` of a validated batch, shape-checked."""
+        telemetry.observe("kernel.batch_size", len(windows))
+        responses = self._score_windows(windows)
+        if responses.shape != (len(windows),):
             raise WindowError(
                 f"{self.name} produced {responses.shape} batch responses, "
-                f"expected ({len(data)},)"
+                f"expected ({len(windows)},)"
             )
         return responses
 
@@ -623,21 +629,35 @@ class AnomalyDetector(abc.ABC):
     def _fit(self, training_streams: list[np.ndarray]) -> None:
         """Build the normal-behavior model from validated streams."""
 
-    @abc.abstractmethod
     def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        """Produce per-window responses in ``[0, 1]`` for a validated stream."""
+        """Per-window responses of a validated stream: the one score path.
 
-    def _score_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Responses for a validated ``(n, DW)`` batch of windows.
-
-        The default treats each row as a minimal stream of exactly one
-        window.  Families with a vectorized batch path override this.
+        With a cache attached, the stream's distinct windows are scored
+        once and scattered back through :meth:`WindowCache.unique`; a
+        sweep's injected streams repeat a few hundred windows thousands
+        of times.  Without one, every window is scored as it stands: a
+        one-off stream (a tenant's request) would pay for a dedup pass
+        it cannot reuse.  Every family scores each row on its own, so
+        both give the same bits.
         """
-        return np.fromiter(
-            (float(self._score(row)[0]) for row in windows),
-            dtype=np.float64,
-            count=len(windows),
+        cache = self._window_cache
+        if cache is None:
+            return self._scored_batch(
+                windows_array(test_stream, self._window_length)
+            )
+        rows, inverse = cache.unique(  # type: ignore[attr-defined]
+            test_stream, self._window_length
         )
+        return self._scored_batch(rows)[inverse]
+
+    @abc.abstractmethod
+    def _score_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Responses in ``[0, 1]`` for a validated ``(n, DW)`` batch.
+
+        Row ``i``'s response must depend on row ``i`` alone: the score
+        path (:meth:`_score`) feeds it a stream's distinct windows or
+        all of them, and both must give the same bits.
+        """
 
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"

@@ -26,7 +26,9 @@ import numpy as np
 
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import register_detector
-from repro.sequences.windows import windows_array
+
+#: Bound on the elements of one chunk's difference tensor.
+CHUNK_ELEMENTS = 4_000_000
 
 
 class HistogramDetector(AnomalyDetector):
@@ -61,18 +63,15 @@ class HistogramDetector(AnomalyDetector):
 
     def _histograms(self, windows: np.ndarray) -> np.ndarray:
         """Per-row symbol-count histograms, shape (n, alphabet_size)."""
-        n = len(windows)
-        histograms = np.zeros((n, self.alphabet_size), dtype=np.int64)
-        rows = np.repeat(np.arange(n), windows.shape[1])
-        np.add.at(histograms, (rows, windows.ravel()), 1)
-        return histograms
+        n, size = len(windows), self.alphabet_size
+        cells = windows + (np.arange(n) * size)[:, None]
+        return np.bincount(cells.ravel(), minlength=n * size).reshape(n, size)
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
-        parts = [
-            self._histograms(windows_array(stream, self.window_length))
-            for stream in training_streams
-        ]
-        self._normal_histograms = np.unique(np.concatenate(parts, axis=0), axis=0)
+        # A histogram depends on its window alone: the distinct
+        # windows exhibit every normal histogram.
+        rows, _counts = self._distinct_windows(training_streams)
+        self._normal_histograms = np.unique(self._histograms(rows), axis=0)
 
     def distance_to_normal(self, window: tuple[int, ...] | np.ndarray) -> int:
         """L1 distance of the window's histogram to the nearest normal one."""
@@ -81,21 +80,29 @@ class HistogramDetector(AnomalyDetector):
         return int(self._distances(self._histograms(view))[0])
 
     def _distances(self, histograms: np.ndarray) -> np.ndarray:
-        assert self._normal_histograms is not None
-        # (n, profiles, alphabet) absolute differences; windows and
-        # profiles are both small in this domain.
-        differences = np.abs(
-            histograms[:, None, :] - self._normal_histograms[None, :, :]
-        ).sum(axis=2)
-        return differences.min(axis=1)
+        """L1 distance of each histogram to the nearest normal one.
 
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        view = windows_array(test_stream, self.window_length)
-        unique_rows, inverse = np.unique(view, axis=0, return_inverse=True)
-        distances = self._distances(self._histograms(unique_rows))
+        Computed over row chunks, so the ``(rows, profiles, alphabet)``
+        difference tensor stays under :data:`CHUNK_ELEMENTS` however
+        long an uncached test stream is.
+        """
+        profiles = self._normal_histograms
+        assert profiles is not None
+        step = max(1, CHUNK_ELEMENTS // profiles.size)
+        # An empty batch still makes one (empty) chunk to concatenate.
+        return np.concatenate(
+            [
+                np.abs(histograms[start : start + step, None, :] - profiles)
+                .sum(axis=2)
+                .min(axis=1)
+                for start in range(0, max(len(histograms), 1), step)
+            ]
+        )
+
+    def _score_windows(self, windows: np.ndarray) -> np.ndarray:
+        distances = self._distances(self._histograms(windows))
         # Two length-DW histograms differ by at most 2*DW counts.
-        responses = distances / (2 * self.window_length)
-        return responses[inverse]
+        return distances / (2 * self.window_length)
 
 
 register_detector(HistogramDetector)

@@ -102,19 +102,7 @@ class LaneBrodleyDetector(AnomalyDetector):
         return int(len(self._database))
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
-        parts, all_shared = [], True
-        for stream in training_streams:
-            shared = self._shared_unique_counts(stream)
-            if shared is not None:
-                parts.append(shared[0])
-            else:
-                all_shared = False
-                parts.append(self._windows_view(stream))
-        if all_shared and len(parts) == 1:
-            # Already the distinct rows in lexicographic order.
-            self._database = parts[0]
-        else:
-            self._database = np.unique(np.concatenate(parts, axis=0), axis=0)
+        self._database, _counts = self._distinct_windows(training_streams)
 
     def _fit_state(self) -> dict[str, np.ndarray] | None:
         if self._database is None:
@@ -143,11 +131,6 @@ class LaneBrodleyDetector(AnomalyDetector):
         """
         assert self._database is not None
         return lb_batch_similarity(windows, self._database, self._chunk_elements)
-
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        view = self._windows_view(test_stream)
-        best = self._chunk_similarities(view)
-        return 1.0 - best / lb_max_similarity(self.window_length)
 
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
         best = self._chunk_similarities(windows)

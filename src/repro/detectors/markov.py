@@ -113,31 +113,15 @@ class MarkovDetector(AnomalyDetector):
         """Whether ``DW``-grams fit the 63-bit packed-integer budget."""
         return packable(self.alphabet_size, self.window_length)
 
-    def _unique_rows(
-        self, stream: np.ndarray, length: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct windows of ``stream`` at ``length`` with counts."""
-        shared = self._shared_unique_counts(stream, length)
-        if shared is not None:
-            return shared
-        view = self._windows_view(stream, length)
-        return np.unique(view, axis=0, return_counts=True)
-
     def _count(
         self, streams: list[np.ndarray], length: int
     ) -> dict[tuple[int, ...], int]:
         """Tuple-keyed count table (the unpackable fallback)."""
-        counts: dict[tuple[int, ...], int] = {}
-        for stream in streams:
-            if len(stream) < length:
-                continue
-            rows, row_counts = self._unique_rows(stream, length)
-            # tolist() converts the whole batch in one C pass; the
-            # resulting tuples of Python ints match the per-element
-            # tuple(int(c) ...) keys bit for bit.
-            for key, n in zip(map(tuple, rows.tolist()), row_counts.tolist()):
-                counts[key] = counts.get(key, 0) + n
-        return counts
+        rows, counts = self._distinct_windows(streams, length)
+        # tolist() converts the whole table in one C pass; the
+        # resulting tuples of Python ints match the per-element
+        # tuple(int(c) ...) keys bit for bit.
+        return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
         if self._packable:
@@ -354,11 +338,6 @@ class MarkovDetector(AnomalyDetector):
                 memo[key] = response
             responses[i] = response
         return responses
-
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        if self._joint_codes is not None:
-            return self._batch_response(self._packed_view(test_stream))
-        return self._tuple_responses(self._windows_view(test_stream))
 
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
         if self._joint_codes is not None:

@@ -39,7 +39,6 @@ import numpy as np
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import register_detector
 from repro.exceptions import DetectorConfigurationError
-from repro.sequences.windows import windows_array
 
 
 class MarkovChainDetector(AnomalyDetector):
@@ -102,11 +101,10 @@ class MarkovChainDetector(AnomalyDetector):
             likelihood *= float(self._transitions[previous, current])
         return likelihood
 
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
+    def _score_windows(self, windows: np.ndarray) -> np.ndarray:
         assert self._transitions is not None and self._initial is not None
-        view = windows_array(test_stream, self.window_length)
         # Per-position transition probabilities, vectorized over windows.
-        probabilities = self._transitions[view[:, :-1], view[:, 1:]]
+        probabilities = self._transitions[windows[:, :-1], windows[:, 1:]]
         transition_count = self.window_length - 1
         with np.errstate(divide="ignore"):
             log_probabilities = np.where(
@@ -115,7 +113,7 @@ class MarkovChainDetector(AnomalyDetector):
         geometric_mean = np.exp(log_probabilities.sum(axis=1) / transition_count)
         responses = 1.0 - geometric_mean
         # Windows starting from a never-seen symbol are maximally anomalous.
-        unseen_start = self._initial[view[:, 0]] == 0.0
+        unseen_start = self._initial[windows[:, 0]] == 0.0
         responses[unseen_start] = 1.0
         return np.clip(responses, 0.0, 1.0)
 

@@ -86,28 +86,11 @@ class NeuralDetector(AnomalyDetector):
         return encoded
 
     def _fit(self, training_streams: list[np.ndarray]) -> None:
-        row_parts, count_parts = [], []
-        for stream in training_streams:
-            shared = self._shared_unique_counts(stream)
-            if shared is not None:
-                rows, counts = shared
-            else:
-                view = self._windows_view(stream)
-                rows, counts = np.unique(view, axis=0, return_counts=True)
-            row_parts.append(rows)
-            count_parts.append(counts)
-        if len(row_parts) == 1:
-            # Distinct rows already arrive in lexicographic order —
-            # exactly the sorted-tuple order the training set uses.
-            windows, counts = row_parts[0], count_parts[0]
-        else:
-            stacked = np.concatenate(row_parts, axis=0)
-            windows, inverse = np.unique(stacked, axis=0, return_inverse=True)
-            counts = np.zeros(len(windows), dtype=np.int64)
-            np.add.at(counts, inverse.reshape(-1), np.concatenate(count_parts))
+        # Distinct rows arrive in lexicographic order — exactly the
+        # sorted-tuple order the training set uses.
+        windows, counts = self._distinct_windows(training_streams)
         if not len(windows):
             raise DetectorConfigurationError("no training windows available")
-        windows = windows.astype(np.int64, copy=False)
         weights = counts.astype(float)
         contexts = windows[:, :-1]
         targets = windows[:, -1]
@@ -152,14 +135,12 @@ class NeuralDetector(AnomalyDetector):
         self._final_loss = float(np.asarray(state["final_loss"]))
         return True
 
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        view = self._windows_view(test_stream)
-        return self._score_windows(view)
-
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
         assert self._network is not None
-        # Deduplicate windows: the network only needs one forward pass
-        # per distinct window.
+        # Deduplicate windows: one forward pass per distinct window, and
+        # the same batch whether a caller passes a stream's distinct
+        # windows (the cached score path) or all of them (serve, uncached
+        # streams) — BLAS may round a row differently with the batch shape.
         unique_rows, inverse = np.unique(windows, axis=0, return_inverse=True)
         probabilities = self._network.predict_proba(
             self._one_hot_contexts(unique_rows[:, :-1])

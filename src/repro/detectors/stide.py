@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector
-from repro.runtime import telemetry
 from repro.runtime.kernels import merge_sorted_unique, sorted_membership
 from repro.sequences.windows import pack_windows, packable as _packable
 
@@ -52,12 +51,9 @@ class StideDetector(AnomalyDetector):
             self._packed_db, _counts = self._fold_tables(training_streams)
             self._tuple_db = None
         else:
-            database: set[tuple[int, ...]] = set()
-            for stream in training_streams:
-                view = self._windows_view(stream)
-                # One C pass over the batch instead of per-element int().
-                database.update(map(tuple, view.tolist()))
-            self._tuple_db = database
+            rows, _counts = self._distinct_windows(training_streams)
+            # One C pass over the table instead of per-element int().
+            self._tuple_db = set(map(tuple, rows.tolist()))
             self._packed_db = None
 
     def _fold_delta(self, combined: np.ndarray) -> None:
@@ -100,37 +96,19 @@ class StideDetector(AnomalyDetector):
             return True
         return False
 
-    def _known(self, view: np.ndarray, packed: np.ndarray | None) -> np.ndarray:
-        """Database membership for each window row."""
-        if self._packed_db is not None:
-            assert packed is not None
-            return sorted_membership(packed, self._packed_db)
-        assert self._tuple_db is not None
-        return np.fromiter(
-            (key in self._tuple_db for key in map(tuple, view.tolist())),
-            dtype=bool,
-            count=len(view),
-        )
-
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        count = len(test_stream) - self.window_length + 1
-        telemetry.count("kernel.membership.windows", count)
-        telemetry.count("kernel.membership.cells")
-        if self._packed_db is not None:
-            packed = self._packed_view(test_stream)
-            known = sorted_membership(packed, self._packed_db)
-        else:
-            view = self._windows_view(test_stream)
-            known = self._known(view, None)
-        return (~known).astype(np.float64)
-
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
-        packed = (
-            pack_windows(windows, self.alphabet_size)
-            if self._packed_db is not None
-            else None
-        )
-        return (~self._known(windows, packed)).astype(np.float64)
+        if self._packed_db is not None:
+            known = sorted_membership(
+                pack_windows(windows, self.alphabet_size), self._packed_db
+            )
+        else:
+            assert self._tuple_db is not None
+            known = np.fromiter(
+                (key in self._tuple_db for key in map(tuple, windows.tolist())),
+                dtype=bool,
+                count=len(windows),
+            )
+        return (~known).astype(np.float64)
 
     def contains(self, window: tuple[int, ...]) -> bool:
         """Whether ``window`` is in the normal database."""

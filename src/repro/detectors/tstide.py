@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.detectors.base import AnomalyDetector
 from repro.exceptions import DetectorConfigurationError
-from repro.runtime import telemetry
 from repro.runtime.kernels import merge_sorted_counts, sorted_membership
 from repro.sequences.windows import pack_windows, packable
 
@@ -71,18 +70,10 @@ class TStideDetector(AnomalyDetector):
             self._set_table(values, counts, int(counts.sum()))
             self._common_tuples = None
         else:
-            total = 0
-            counts: dict[tuple[int, ...], int] = {}
-            for stream in training_streams:
-                view = self._windows_view(stream)
-                total += len(view)
-                rows, row_counts = np.unique(view, axis=0, return_counts=True)
-                # One C pass over the distinct rows instead of a
-                # per-element int() loop over every window.
-                for key, n in zip(map(tuple, rows.tolist()), row_counts.tolist()):
-                    counts[key] = counts.get(key, 0) + n
+            rows, counts = self._distinct_windows(training_streams)
+            total = int(counts.sum())
             bound = self._rare_threshold * total
-            self._common_tuples = {key for key, n in counts.items() if n >= bound}
+            self._common_tuples = set(map(tuple, rows[counts >= bound].tolist()))
             self._common_packed = None
             self._packed_values = None
             self._packed_counts = None
@@ -176,33 +167,16 @@ class TStideDetector(AnomalyDetector):
             return True
         return False
 
-    def _common(self, view: np.ndarray, packed: np.ndarray | None) -> np.ndarray:
-        """Common-window membership for each window row."""
-        if self._common_packed is not None:
-            assert packed is not None
-            return sorted_membership(packed, self._common_packed)
-        assert self._common_tuples is not None
-        return np.fromiter(
-            (key in self._common_tuples for key in map(tuple, view.tolist())),
-            dtype=bool,
-            count=len(view),
-        )
-
-    def _score(self, test_stream: np.ndarray) -> np.ndarray:
-        count = len(test_stream) - self.window_length + 1
-        telemetry.count("kernel.membership.windows", count)
-        telemetry.count("kernel.membership.cells")
-        if self._common_packed is not None:
-            packed = self._packed_view(test_stream)
-            common = sorted_membership(packed, self._common_packed)
-        else:
-            common = self._common(self._windows_view(test_stream), None)
-        return (~common).astype(np.float64)
-
     def _score_windows(self, windows: np.ndarray) -> np.ndarray:
-        packed = (
-            pack_windows(windows, self.alphabet_size)
-            if self._common_packed is not None
-            else None
-        )
-        return (~self._common(windows, packed)).astype(np.float64)
+        if self._common_packed is not None:
+            common = sorted_membership(
+                pack_windows(windows, self.alphabet_size), self._common_packed
+            )
+        else:
+            assert self._common_tuples is not None
+            common = np.fromiter(
+                (key in self._common_tuples for key in map(tuple, windows.tolist())),
+                dtype=bool,
+                count=len(windows),
+            )
+        return (~common).astype(np.float64)

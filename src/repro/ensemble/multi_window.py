@@ -107,6 +107,8 @@ class MultiWindowBank(AnomalyDetector):
             member.fit_many(training_streams)
 
     def _score(self, test_stream: np.ndarray) -> np.ndarray:
+        # Members slide the stream at their own window lengths, so the
+        # bank combines whole member streams rather than one batch.
         combined = np.zeros(
             window_count(len(test_stream), self._lengths[0]), dtype=np.float64
         )
@@ -120,6 +122,11 @@ class MultiWindowBank(AnomalyDetector):
                 out=combined[: len(responses)],
             )
         return combined
+
+    def _score_windows(self, windows: np.ndarray) -> np.ndarray:
+        # A batch row is one window of the bank's (shortest) length:
+        # only the shortest member can score it.
+        return self._members[0].score_windows(windows)
 
     def member_responses(
         self, test_stream: Sequence[int] | np.ndarray

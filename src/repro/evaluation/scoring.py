@@ -97,82 +97,6 @@ class DetectionOutcome:
         return self.response_class.detects
 
 
-def outcome_from_responses(
-    responses: np.ndarray,
-    injected: InjectedStream,
-    window_length: int,
-    response_tolerance: float,
-) -> DetectionOutcome:
-    """Classify a precomputed response array against an injection.
-
-    The responses-to-outcome half of :func:`score_injected`, split out
-    so callers that obtain responses some other way — the sweep
-    engine's unique-window memoized scoring, recorded response traces —
-    classify them under exactly the same rule.
-
-    Args:
-        responses: one response per window of ``injected.stream`` (the
-            :meth:`~repro.detectors.base.AnomalyDetector.score_stream`
-            contract).
-        injected: the test stream with injection metadata.
-        window_length: the detector window the responses were produced
-            at; defines the incident span.
-        response_tolerance: the maximal-response slack.
-
-    Returns:
-        The classified outcome.
-    """
-    span = injected.incident_span(window_length)
-    if span.stop <= span.start:
-        raise EvaluationError("incident span is empty; stream too short")
-    in_span = responses[span.start : span.stop]
-    outside = np.concatenate([responses[: span.start], responses[span.stop :]])
-    max_in_span = float(in_span.max())
-    max_outside = float(outside.max()) if len(outside) else 0.0
-    spurious = (
-        int((outside >= 1.0 - response_tolerance).sum()) if len(outside) else 0
-    )
-    return DetectionOutcome(
-        response_class=classify_response(max_in_span, response_tolerance),
-        max_in_span=max_in_span,
-        max_outside_span=max_outside,
-        span_start=span.start,
-        span_stop=span.stop,
-        spurious_alarms=spurious,
-    )
-
-
-def score_injected_memoized(
-    detector: AnomalyDetector, injected: InjectedStream, cache
-) -> DetectionOutcome:
-    """Score an injection through unique-window batch kernels.
-
-    Deduplicates the test stream's windows via the shared
-    :class:`repro.runtime.WindowCache`, scores each distinct window
-    once with :meth:`~repro.detectors.base.AnomalyDetector.score_windows`,
-    and scatters the responses back to stream order before classifying.
-    Bit-identical to :func:`score_injected` — only the evaluation order
-    differs.
-
-    Args:
-        detector: a fitted detector.
-        injected: the test stream with injection metadata.
-        cache: a :class:`repro.runtime.WindowCache` (or compatible)
-            supplying ``unique(stream, DW)``.
-
-    Returns:
-        The classified outcome.
-    """
-    unique_rows, inverse = cache.unique(injected.stream, detector.window_length)
-    responses = detector.score_windows(unique_rows)[inverse]
-    return outcome_from_responses(
-        responses,
-        injected,
-        detector.window_length,
-        detector.response_tolerance,
-    )
-
-
 def score_injected(
     detector: AnomalyDetector, injected: InjectedStream
 ) -> DetectionOutcome:
@@ -188,9 +112,20 @@ def score_injected(
         The classified outcome.
     """
     responses = detector.score_stream(injected.stream)
-    return outcome_from_responses(
-        responses,
-        injected,
-        detector.window_length,
-        detector.response_tolerance,
+    tolerance = detector.response_tolerance
+    span = injected.incident_span(detector.window_length)
+    if span.stop <= span.start:
+        raise EvaluationError("incident span is empty; stream too short")
+    in_span = responses[span.start : span.stop]
+    outside = np.concatenate([responses[: span.start], responses[span.stop :]])
+    max_in_span = float(in_span.max())
+    max_outside = float(outside.max()) if len(outside) else 0.0
+    spurious = int((outside >= 1.0 - tolerance).sum()) if len(outside) else 0
+    return DetectionOutcome(
+        response_class=classify_response(max_in_span, tolerance),
+        max_in_span=max_in_span,
+        max_outside_span=max_outside,
+        span_start=span.start,
+        span_stop=span.stop,
+        spurious_alarms=spurious,
     )

@@ -5,17 +5,16 @@ detector ensembles — is evaluating many detector families over the
 full (anomaly size x window length) grid.  This package provides the
 production runtime for that sweep:
 
-* :class:`WindowCache` — slides and packs each (stream, window length)
-  combination exactly once and shares the arrays across every
-  detector family's fits and scores;
+* :class:`WindowCache` — derives each (stream, window length) window
+  table exactly once and shares it across every detector family's
+  fits and scores;
 * :mod:`~repro.runtime.kernels` — the vectorized batch-scoring kernels
   every detector family's ``score_windows`` reduces to: one numpy pass
   per (stream, DW) batch instead of a per-window Python loop;
 * :class:`SweepEngine` — evaluates one or many families over the grid
   through one supervised scheduler (serial, or a process pool when
-  more than one worker is allowed) with unique-window memoized scoring
-  for the expensive detectors, while producing maps bit-identical to
-  the sequential path;
+  more than one worker is allowed), scoring each distinct test window
+  once, while producing maps bit-identical to the sequential path;
 * :mod:`~repro.runtime.resilience` — the scheduler every sweep runs
   through: retries with deterministic backoff, per-task wall-clock
   timeouts, graceful backend degradation (process -> serial), JSONL
@@ -63,7 +62,6 @@ _EXPORTS: dict[str, str] = {
     "ShardStoreStats": "repro.runtime.shardstore",
     "SHARD_SCHEMA_VERSION": "repro.runtime.shardstore",
     "EXECUTORS": "repro.runtime.engine",
-    "MEMOIZED_FAMILIES": "repro.runtime.engine",
     "SweepEngine": "repro.runtime.engine",
     "evaluate_window_block": "repro.runtime.engine",
     "sorted_membership": "repro.runtime.kernels",

@@ -1,18 +1,16 @@
 """Shared sliding-window artifacts for sweep evaluation.
 
 Sweeping several detector families over the suite grid re-derives the
-same intermediate products again and again: every family slides the
-same training stream at the same window length, packs the same windows,
-and — for the expensive similarity metrics — scores the same highly
-repetitive test windows.  :class:`WindowCache` computes each
+same intermediate products again and again: every family reduces the
+same training stream to the same window table, and scores the same
+highly repetitive test windows.  :class:`WindowCache` computes each
 (stream, window length) artifact exactly once and hands the identical
 arrays to every consumer:
 
 * ``windows``   — the 2-D sliding-window view of a stream;
-* ``packed``    — the bit-width packed integers (``symbol_bits(AS)``
-  bits per symbol, one ``int64`` key per window);
 * ``unique``    — the distinct windows plus the inverse scatter index
-  (the basis of unique-window memoized scoring);
+  (every detector's score path: each distinct test window is scored
+  once and scattered back);
 * ``counts``    — the distinct windows plus their occurrence counts
   (the frequency table every detector family's fit reduces to);
 * ``packed_db`` — a training stream's sorted distinct packed keys at
@@ -202,19 +200,6 @@ class WindowCache:
             stream, key, lambda: windows_array(stream, window_length)
         )
 
-    def packed(
-        self, stream: np.ndarray, window_length: int, alphabet_size: int
-    ) -> np.ndarray:
-        """Packed integer windows (see :func:`pack_windows`), memoized."""
-        key = (id(stream), window_length, "packed", alphabet_size)
-        return self._get(
-            stream,
-            key,
-            lambda: pack_windows(
-                windows_array(stream, window_length), alphabet_size
-            ),
-        )
-
     def packed_db(
         self, stream: np.ndarray, window_length: int, alphabet_size: int
     ) -> np.ndarray:
@@ -238,7 +223,8 @@ class WindowCache:
 
         Returns ``(unique_rows, inverse)`` with
         ``unique_rows[inverse]`` exactly the full window sequence —
-        the decomposition behind unique-window memoized scoring.  Rows
+        the dedup-and-scatter every cached detector scores through
+        (:meth:`~repro.detectors.base.AnomalyDetector._score`).  Rows
         are in lexicographic order, matching
         ``np.unique(windows, axis=0)``.  Asked for in ascending window
         lengths, as a sweep does, each inverse is the chain's newest
@@ -262,7 +248,9 @@ class WindowCache:
 
         Returns ``(unique_rows, counts)`` exactly as
         ``np.unique(windows, axis=0, return_counts=True)`` would — the
-        frequency table behind every detector family's fit — read off
+        frequency table behind every detector family's fit
+        (:meth:`~repro.detectors.base.AnomalyDetector._distinct_windows`)
+        — read off
         the stream's counting chain, so no per-window array of the
         order is kept.
 

@@ -10,18 +10,17 @@ work through one supervised scheduler:
 * **work unit** — one (family, window length) block: a single fit on
   the training stream followed by one scoring pass per anomaly size
   (the fit is the expensive, shareable half of a grid column);
-* **shared window cache** — every block slides and packs each
-  (stream, DW) combination through one :class:`~repro.runtime.cache.WindowCache`,
-  so Stide, t-Stide, Markov and L&B all reuse a single derivation;
-* **unique-window memoized scoring** — for the expensive families
-  (L&B's database comparison, the neural network's forward pass) the
-  test stream is deduplicated, each distinct window is scored once via
-  the vectorized batch kernels behind
-  :meth:`~repro.detectors.base.AnomalyDetector.score_windows`
-  (see :mod:`repro.runtime.kernels`), and the responses are scattered
-  back.  The injected streams are highly repetitive, so this cuts the
-  comparison work by an order of magnitude without changing a single
-  response value;
+* **shared window cache** — every block reads each (stream, DW)
+  window table through one :class:`~repro.runtime.cache.WindowCache`,
+  so every family's fits and scores reuse a single derivation;
+* **one score path** — with the cache attached, every detector's
+  :meth:`~repro.detectors.base.AnomalyDetector.score_stream`
+  deduplicates the test stream through the cache, scores each distinct
+  window once with its family's batch kernel (see
+  :mod:`repro.runtime.kernels`) and scatters the responses back.  The
+  injected streams are highly repetitive, so this cuts the scoring
+  work by an order of magnitude without changing a single response
+  value;
 * **one scheduler** — every sweep runs its blocks through
   :class:`~repro.runtime.resilience.ResilientRunner` (retries,
   timeouts, checkpoints), on one of two backends: ``serial`` inline
@@ -59,7 +58,7 @@ from repro.datagen.suite import EvaluationSuite
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.registry import create_detector
 from repro.evaluation.performance_map import Cell, CellResult, PerformanceMap
-from repro.evaluation.scoring import score_injected, score_injected_memoized
+from repro.evaluation.scoring import score_injected
 from repro.exceptions import (
     EvaluationError,
     SweepAbortedError,
@@ -86,14 +85,6 @@ from repro.runtime.telemetry import (
 
 DetectorFactory = Callable[[int], AnomalyDetector]
 
-#: Families whose per-window scoring is expensive enough that
-#: deduplicating test windows pays for the scatter: the L&B comparison
-#: tensor, the neural network's forward pass, and the Markov
-#: detector's per-window dictionary walk.
-MEMOIZED_FAMILIES: frozenset[str] = frozenset(
-    {"lane-brodley", "markov", "neural-network"}
-)
-
 #: Executor backends accepted by :class:`SweepEngine`.
 EXECUTORS: tuple[str, ...] = ("process", "serial")
 
@@ -102,7 +93,6 @@ def evaluate_window_block(
     detector: AnomalyDetector,
     suite: EvaluationSuite,
     cache: WindowCache | None = None,
-    memoize: bool = False,
     store: ArtifactStore | None = None,
 ) -> list[CellResult]:
     """Fit one detector and score it on every anomaly size of the suite.
@@ -115,8 +105,6 @@ def evaluate_window_block(
         suite: the evaluation corpus.
         cache: shared window artifacts; attached to the detector for
             the duration of the block when given.
-        memoize: score each distinct test window once and scatter the
-            responses back (requires ``cache``).
         store: persistent artifact store; when given, the fit is
             looked up by content address before any training work and
             written back on a miss.  How the fit was obtained is
@@ -143,10 +131,7 @@ def evaluate_window_block(
             anomaly_size=anomaly_size,
             window_length=window_length,
         ) as cell_span:
-            if memoize and cache is not None:
-                outcome = score_injected_memoized(fitted, injected, cache)
-            else:
-                outcome = score_injected(fitted, injected)
+            outcome = score_injected(fitted, injected)
         telemetry.observe("cell.wall", cell_span.wall)
         telemetry.observe("cell.cpu", cell_span.cpu)
         results.append(
@@ -183,7 +168,6 @@ def _process_resilient_block(
     window_length: int,
     handoff: str,
     detector_kwargs: dict[str, object],
-    memoize: bool,
     schedule: FaultSchedule | None,
     store_spec: tuple[str, int | None] | None,
     telemetry_spec: TelemetryConfig | None,
@@ -219,7 +203,6 @@ def _process_resilient_block(
                 detector,
                 suite,
                 cache=cache,
-                memoize=memoize,
                 store=ArtifactStore.from_spec(store_spec),
             )
         after = cache.stats
@@ -651,7 +634,6 @@ class SweepEngine:
                 detector,
                 suite,
                 cache=self._cache,
-                memoize=name in MEMOIZED_FAMILIES,
                 store=self._store,
             )
         ledger = self._ledger
@@ -739,7 +721,6 @@ class SweepEngine:
                             window_length,
                             handoff,
                             detector_kwargs,
-                            registry_name in MEMOIZED_FAMILIES,
                             schedule,
                             self._store.spec() if self._store is not None else None,
                             self._telemetry.spec()

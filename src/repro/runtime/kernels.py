@@ -18,13 +18,13 @@ in this module replace the walk with a single NumPy pass per batch:
   accumulation (:func:`lb_batch_similarity`,
   :func:`hamming_batch_distance`), chunked to bound memory;
 * **dispatch** — ``AnomalyDetector.score_windows`` is the one
-  array-in/array-out entry point; each family's ``_score_windows``
-  calls the kernels above (the neural network's batched forward pass
-  lives there too).
+  array-in/array-out entry point, and ``score_stream`` runs the same
+  batch; each family's ``_score_windows`` calls the kernels above (the
+  neural network's batched forward pass lives there too).
 
-Every kernel is **bit-identical** to the scalar
-``AnomalyDetector._score_windows`` fallback it replaces — the same
-IEEE-754 operations in the same order per element — which
+Every kernel is **bit-identical** to the scalar per-window rule it
+replaces — the same IEEE-754 operations in the same order per
+element — which
 ``tests/runtime/test_kernels.py`` asserts over randomized alphabets,
 window lengths and the unseen/floor edge cases.  The kernels are pure
 functions of arrays: no detector state, no imports from

@@ -961,9 +961,6 @@ def summarize_trace(path: str | Path) -> str:
         f"retries: {counters.get('task.retries', 0):g} "
         f"({counters.get('task.timeouts', 0):g} timeouts)",
     ]
-    membership = counters.get("kernel.membership.cells", 0)
-    if membership:
-        lines.append(f"membership cells: {membership:g}")
     batch = histograms.get("kernel.batch_size")
     if batch and batch["count"]:
         lines.append(

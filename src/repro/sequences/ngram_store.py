@@ -12,7 +12,7 @@ The counts come from one chain of orders (DESIGN S53, S56), built by
 the counting refinement of DESIGN S52.  It is the only window-count
 chain in the package: the evaluation suite's checks query it, and
 :class:`~repro.runtime.cache.WindowCache` keeps one per stream for the
-detector fits and memoized scoring of a sweep.
+detector fits and test-stream dedup of a sweep.
 Order 1 keeps the sorted distinct symbols.  Order ``L`` keys the window
 starting at ``i`` as ``group_{L-1}[i] * span + rank[i + L - 1]``, where
 ``rank`` is a symbol's order-1 group and ``span`` the number of

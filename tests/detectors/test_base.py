@@ -26,9 +26,8 @@ class ConstantDetector(AnomalyDetector):
     def _fit(self, training_streams):
         self.fitted_streams = training_streams
 
-    def _score(self, test_stream):
-        count = len(test_stream) - self.window_length + 1
-        return np.full(count, self._value)
+    def _score_windows(self, windows):
+        return np.full(len(windows), self._value)
 
 
 class MisbehavingDetector(ConstantDetector):
@@ -36,7 +35,7 @@ class MisbehavingDetector(ConstantDetector):
 
     name = "misbehaving"
 
-    def _score(self, test_stream):
+    def _score_windows(self, windows):
         return np.zeros(1)
 
 

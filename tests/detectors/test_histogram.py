@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.detectors import histogram
 from repro.detectors.histogram import HistogramDetector
 from repro.detectors.registry import available_detectors, create_detector
 
@@ -52,6 +54,13 @@ class TestBasics:
             assert responses[i] == pytest.approx(
                 detector.score_window(tuple(test[i : i + 4]))
             )
+
+    def test_chunking_is_invisible(self, monkeypatch):
+        detector = HistogramDetector(4, 8).fit([0, 1, 2, 3, 3, 5] * 30)
+        stream = np.random.default_rng(3).integers(0, 8, 500)
+        whole = detector.score_stream(stream)
+        monkeypatch.setattr(histogram, "CHUNK_ELEMENTS", 50)
+        assert detector.score_stream(stream).tobytes() == whole.tobytes()
 
 
 class TestAnomalyTypeAxis:

@@ -60,9 +60,8 @@ class TestRegistration:
             def _fit(self, training_streams):
                 pass
 
-            def _score(self, test_stream):
-                count = len(test_stream) - self.window_length + 1
-                return np.zeros(count)
+            def _score_windows(self, windows):
+                return np.zeros(len(windows))
 
         try:
             register_detector(EchoDetector)
@@ -81,7 +80,7 @@ class TestRegistration:
             def _fit(self, training_streams):
                 pass
 
-            def _score(self, test_stream):
+            def _score_windows(self, windows):
                 return np.zeros(0)
 
         with pytest.raises(DetectorConfigurationError, match="already"):
@@ -92,7 +91,7 @@ class TestRegistration:
             def _fit(self, training_streams):
                 pass
 
-            def _score(self, test_stream):
+            def _score_windows(self, windows):
                 return np.zeros(0)
 
         with pytest.raises(DetectorConfigurationError, match="name"):

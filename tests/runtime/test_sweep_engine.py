@@ -17,8 +17,7 @@ import pytest
 
 from repro.datagen.suite import build_suite
 from repro.datagen.training import generate_training_data
-from repro.detectors.neural import NeuralDetector
-from repro.detectors.registry import create_detector
+from repro.detectors.registry import available_detectors, create_detector
 from repro.detectors.stide import StideDetector
 from repro.evaluation.experiment import run_paper_experiment
 from repro.evaluation.performance_map import build_performance_map
@@ -29,7 +28,7 @@ from repro.evaluation.robustness import (
 )
 from repro.exceptions import EvaluationError
 from repro.params import scaled_params
-from repro.runtime import MEMOIZED_FAMILIES, SweepEngine, WindowCache
+from repro.runtime import SweepEngine, WindowCache
 from repro.runtime import engine as engine_module
 from repro.runtime.resilience import ResilientRunner, handoff_prefix
 
@@ -98,31 +97,27 @@ class TestParallelSequentialEquivalence:
             _assert_maps_identical(serial_maps[name], result.map_for(name), suite)
 
 
-class TestMemoizedScoring:
-    def test_expensive_families_are_memoized_by_default(self):
-        assert {"lane-brodley", "neural-network"} <= MEMOIZED_FAMILIES
-
-    @pytest.mark.parametrize("name", sorted(MEMOIZED_FAMILIES - {"neural-network"}))
-    def test_memoized_responses_equal_score_stream(self, suite, name):
-        detector = create_detector(
-            name, 5, suite.training.alphabet.size
-        ).fit(suite.training.stream)
-        stream = suite.stream(suite.anomaly_sizes[0]).stream
-        direct = detector.score_stream(stream)
+class TestOneScorePath:
+    @pytest.mark.parametrize("name", available_detectors())
+    def test_cached_score_stream_equals_uncached(self, suite, name):
+        """A cached ``score_stream`` scores each distinct window once and
+        scatters the responses back; it must equal the uncached path,
+        which scores every window, bit for bit on every test stream."""
+        windows = (2, 6, 15) if name == "neural-network" else suite.window_lengths
         cache = WindowCache()
-        unique_rows, inverse = cache.unique(stream, 5)
-        memoized = detector.score_windows(unique_rows)[inverse]
-        np.testing.assert_array_equal(direct, memoized)
-
-    def test_neural_memoized_responses_equal_score_stream(self):
-        training = np.tile(np.arange(5), 60)
-        detector = NeuralDetector(3, 5).fit(training)
-        stream = np.tile(np.arange(5), 8)
-        direct = detector.score_stream(stream)
-        cache = WindowCache()
-        unique_rows, inverse = cache.unique(stream, 3)
-        memoized = detector.score_windows(unique_rows)[inverse]
-        np.testing.assert_array_equal(direct, memoized)
+        for window in windows:
+            detector = create_detector(
+                name, window, suite.training.alphabet.size
+            ).fit(suite.training.stream)
+            for anomaly_size in suite.anomaly_sizes:
+                stream = suite.stream(anomaly_size).stream
+                direct = detector.attach_cache(None).score_stream(stream)
+                cached = detector.attach_cache(cache).score_stream(stream)
+                distinct, _inverse = cache.unique(stream, window)
+                assert len(distinct) < len(direct)
+                assert cached.tobytes() == direct.tobytes(), (
+                    f"{name} AS={anomaly_size} DW={window}"
+                )
 
 
 class TestEngineValidation:

@@ -29,8 +29,8 @@ from repro.runtime.telemetry import (
     validate_trace_line,
 )
 
-#: Families the sweep tests exercise; two is enough to cover the
-#: memoized (markov) and plain (stide) scoring paths cheaply.
+#: Families the sweep tests exercise; two is enough to cover a packed
+#: membership family (stide) and a count family (markov) cheaply.
 FAMILIES = ("stide", "markov")
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.detectors.registry import create_detector
 from repro.runtime import WindowCache
-from repro.sequences.windows import pack_windows, windows_array
+from repro.sequences.windows import windows_array
 
 STREAM = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 0, 2], dtype=np.int64)
 ALPHABET = 4
@@ -42,19 +42,6 @@ class TestWindowsArtifact:
         np.testing.assert_array_equal(
             cache.windows(STREAM, 2), windows_array(STREAM, 2)
         )
-
-
-class TestPackedArtifact:
-    def test_matches_pack_windows(self, cache):
-        expected = pack_windows(windows_array(STREAM, 3), ALPHABET)
-        np.testing.assert_array_equal(
-            cache.packed(STREAM, 3, ALPHABET), expected
-        )
-
-    def test_alphabets_do_not_collide(self, cache):
-        four = cache.packed(STREAM, 2, 4)
-        eight = cache.packed(STREAM, 2, 8)
-        assert not np.array_equal(four, eight)
 
 
 class TestUniqueArtifact:
@@ -147,7 +134,7 @@ class TestAccounting:
     def test_evict_whole_stream(self, cache):
         other = np.array([3, 3, 3, 3, 3], dtype=np.int64)
         cache.windows(STREAM, 2)
-        cache.packed(STREAM, 2, ALPHABET)
+        cache.unique(STREAM, 2)
         cache.windows(other, 2)
         assert cache.evict(STREAM) == 2
         assert len(cache) == 1
@@ -175,7 +162,7 @@ class TestAccounting:
 
         def worker() -> None:
             start.wait()
-            cache.packed(STREAM, 3, ALPHABET)
+            cache.windows(STREAM, 3)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
