@@ -14,8 +14,7 @@ Subcommands:
 * ``trace`` — summarize or validate a JSONL telemetry trace written by
   the ``--trace`` flag of ``maps``/``atlas``/``select``;
 * ``plan`` — validate, run, resume, or inspect declarative experiment
-  plans (``plans/*.toml``), including joining a shared run directory
-  as a file-queue worker;
+  plans (``plans/*.toml``);
 * ``serve`` — run the fault-hardened multi-tenant scoring service
   (crash-safe tenant WALs, admission control, circuit breakers,
   optional seeded chaos);
@@ -732,25 +731,6 @@ def _cmd_plan_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan_worker(args: argparse.Namespace) -> int:
-    from repro.plans import Worker
-
-    collector = _telemetry(args)
-    worker = Worker(
-        args.run_dir,
-        worker_id=args.worker_id,
-        lease_ttl=args.lease_ttl,
-        jobs=args.jobs,
-        telemetry=collector,
-        crash_after_claims=args.crash_after_claims,
-        max_seconds=args.max_seconds,
-    )
-    report = worker.run()
-    print(report.summary())
-    _emit_collector(args, collector)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -1083,51 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan_status.add_argument("run_dir", help="plan run directory")
     plan_status.set_defaults(func=_cmd_plan_status)
-
-    plan_worker = plan_sub.add_parser(
-        "worker",
-        help="join a run directory as a file-queue worker (claim stages "
-        "via atomic leases, heartbeat while executing, take over "
-        "expired leases)",
-    )
-    plan_worker.add_argument("run_dir", help="shared plan run directory")
-    plan_worker.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="unique worker id (default: w<pid>)",
-    )
-    plan_worker.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="heartbeat silence after which a lease is taken over",
-    )
-    plan_worker.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="engine workers inside this queue worker",
-    )
-    plan_worker.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="give up waiting for claimable work after this long",
-    )
-    plan_worker.add_argument(
-        "--crash-after-claims",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fault injection: die (os._exit) after the Nth successful "
-        "claim, leaving the lease to expire",
-    )
-    _telemetry_arguments(plan_worker)
-    plan_worker.set_defaults(func=_cmd_plan_worker)
 
     return parser
 

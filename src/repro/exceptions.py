@@ -187,10 +187,9 @@ class PlanError(ReproError):
 
     Raised by :mod:`repro.plans` when a plan file fails to parse, a
     stage references an unknown dependency, the stage graph contains a
-    cycle, or a dispatch run violates its protocol (an unclaimable
-    stage, a missing run directory).  Every message names the stage at
-    fault — a bad plan must fail loudly at validation, never hang the
-    DAG executor.
+    cycle, or a run directory is missing or holds a corrupt
+    ``plan.json``.  Every message names the stage at fault — a bad plan
+    must fail loudly at validation, never hang the DAG executor.
     """
 
 

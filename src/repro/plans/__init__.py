@@ -1,4 +1,4 @@
-"""Declarative experiment plans: spec, DAG runner, file-queue dispatch.
+"""Declarative experiment plans: spec and DAG runner.
 
 ``repro.plans`` turns the runtime substrate (SweepEngine, ArtifactStore,
 JSONL checkpoints, telemetry) into a schedulable experiment system:
@@ -8,20 +8,10 @@ JSONL checkpoints, telemetry) into a schedulable experiment system:
   error), and content-addressed stage fingerprints.
 * :mod:`repro.plans.runner` — the :class:`PlanRunner`: topological
   execution with exactly-once stage semantics, resumable bit-identically
-  after a kill, computing nothing whose fingerprint is unchanged.
-* :mod:`repro.plans.dispatch` — N worker processes draining a shared
-  run directory via atomic rename leases with heartbeat and
-  lease-expiry takeover.
+  after a kill, computing nothing whose fingerprint is unchanged, and
+  :func:`run_status`, the per-stage report of a run directory.
 """
 
-from repro.plans.dispatch import (
-    DEFAULT_LEASE_TTL,
-    Worker,
-    WorkerReport,
-    prepare_run,
-    run_dispatch,
-    run_status,
-)
 from repro.plans.runner import (
     PlanReport,
     PlanRunner,
@@ -30,6 +20,7 @@ from repro.plans.runner import (
     paper_plan,
     payload_digest,
     run_plan_file,
+    run_status,
 )
 from repro.plans.spec import (
     PLAN_SCHEMA_VERSION,
@@ -46,7 +37,6 @@ from repro.plans.spec import (
 )
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
     "PLAN_SCHEMA_VERSION",
     "STAGE_KINDS",
     "EnsembleStage",
@@ -58,14 +48,10 @@ __all__ = [
     "StageOutcome",
     "SweepOutput",
     "SweepStage",
-    "Worker",
-    "WorkerReport",
     "load_plan",
     "paper_plan",
     "payload_digest",
     "plan_from_dict",
-    "prepare_run",
-    "run_dispatch",
     "run_plan_file",
     "run_status",
     "stage_from_dict",

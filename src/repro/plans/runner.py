@@ -22,15 +22,14 @@ recomputed.  A killed run resumes mid-stage from the cell checkpoint
 and downstream of the kill from the store — and the final artifacts in
 ``<run_dir>/outputs/`` are byte-identical to an uninterrupted run's.
 
-Run-directory layout (shared with :mod:`repro.plans.dispatch`)::
+Run-directory layout::
 
     run_dir/
-      plan.json        # compiled plan (workers need only the run dir)
+      plan.json        # compiled plan (``repro plan status`` reads it)
       journal.jsonl    # append-only events: one line per completion
       cells/           # per-stage JSONL cell checkpoints
       outputs/<stage>.json   # canonical payloads (byte-comparable)
       done/<stage>.json      # atomic per-stage completion markers
-      leases/          # dispatcher claim locks (atomic rename leases)
       store/           # default ArtifactStore when none is given
 """
 
@@ -57,7 +56,13 @@ from repro.evaluation.robustness import (
 from repro.exceptions import PlanError
 from repro.io import cell_to_record, read_jsonl_tolerant, record_to_cell
 from repro.params import scaled_params
-from repro.plans.spec import ExperimentPlan, Stage, load_plan, stage_key
+from repro.plans.spec import (
+    ExperimentPlan,
+    Stage,
+    load_plan,
+    plan_from_dict,
+    stage_key,
+)
 from repro.runtime import telemetry
 
 #: File names of the run-directory protocol.
@@ -66,7 +71,6 @@ JOURNAL_FILE = "journal.jsonl"
 OUTPUTS_DIR = "outputs"
 DONE_DIR = "done"
 CELLS_DIR = "cells"
-LEASES_DIR = "leases"
 STORE_DIR = "store"
 
 
@@ -194,6 +198,51 @@ def read_done_marker(run_dir: Path, stage_name: str) -> dict | None:
     except (OSError, ValueError):
         return None
     return record if isinstance(record, dict) else None
+
+
+def load_run(run_dir: str | Path) -> ExperimentPlan:
+    """Load the compiled plan from a run directory."""
+    path = Path(run_dir) / PLAN_FILE
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as error:
+        raise PlanError(f"not a plan run directory: {run_dir} ({error})") from error
+    except ValueError as error:
+        raise PlanError(f"corrupt plan file {path}: {error}") from error
+    return plan_from_dict(data)
+
+
+def run_status(run_dir: str | Path) -> str:
+    """Human- and CI-readable status of a plan run directory.
+
+    Ends with a ``duplicates: N`` line — the count of stages journaled
+    as completed more than once, which must be 0 for an exactly-once
+    run (the plan-smoke CI job asserts exactly that).
+    """
+    run_dir = Path(run_dir)
+    plan = load_run(run_dir)
+    order = plan.validate()
+    fingerprints = plan.fingerprints()
+    events = load_journal(run_dir)
+    completions: dict[str, int] = {}
+    for event in events:
+        if event.get("event") == "completed":
+            stage = str(event.get("stage"))
+            completions[stage] = completions.get(stage, 0) + 1
+    lines = [f"plan '{plan.name}': {len(order)} stage(s)"]
+    done = 0
+    for name in order:
+        marker = read_done_marker(run_dir, name)
+        if marker is not None and marker.get("fingerprint") == fingerprints[name]:
+            done += 1
+            status = "done"
+        else:
+            status = "pending"
+        lines.append(f"stage {name}: {status}")
+    lines.append(f"done: {done}/{len(order)}")
+    duplicates = sum(count - 1 for count in completions.values() if count > 1)
+    lines.append(f"duplicates: {duplicates}")
+    return "\n".join(lines)
 
 
 # -- stage execution --------------------------------------------------------
@@ -525,7 +574,7 @@ class PlanRunner:
             digest=digest,
         )
 
-    def run_stage(
+    def _run_stage(
         self,
         stage: Stage,
         fingerprint: str,
@@ -586,7 +635,7 @@ class PlanRunner:
         with telemetry.activated(self.telemetry):
             for name in order:
                 stage = self.plan.stage(name)
-                outcome, live = self.run_stage(
+                outcome, live = self._run_stage(
                     stage, fingerprints[name], results
                 )
                 outcomes.append(outcome)

@@ -7,7 +7,6 @@ highly repetitive test windows.  :class:`WindowCache` computes each
 (stream, window length) artifact exactly once and hands the identical
 arrays to every consumer:
 
-* ``windows``   — the 2-D sliding-window view of a stream;
 * ``unique``    — the distinct windows plus the inverse scatter index
   (every detector's score path: each distinct test window is scored
   once and scattered back);
@@ -16,7 +15,7 @@ arrays to every consumer:
 * ``packed_db`` — a training stream's sorted distinct packed keys at
   one order (the table Stide, t-Stide and Markov fold).
 
-The last three read one :class:`~repro.sequences.ngram_store.NgramStore`
+All three read one :class:`~repro.sequences.ngram_store.NgramStore`
 per stream (DESIGN S56): the counting chain that also builds the
 evaluation suite, extended one order at a time as longer windows are
 asked for.
@@ -28,7 +27,7 @@ artifact is computed and stored; correctness never depends on a hit.
 
 The cache is thread-safe.  Artifacts are computed under the lock, which
 deliberately serializes the *first* derivation of each artifact: when
-several workers race for the same (stream, DW) slide, exactly one pays
+several workers race for the same (stream, DW) artifact, exactly one pays
 for it and the rest share the result.
 
 **Cross-process statistics.**  The cache itself is never shared across
@@ -54,7 +53,7 @@ import numpy as np
 from repro.exceptions import WindowError
 from repro.runtime import telemetry
 from repro.sequences.ngram_store import NgramStore
-from repro.sequences.windows import pack_windows, windows_array
+from repro.sequences.windows import pack_windows
 
 #: Cache key: (stream identity, window length, artifact tag, extra).
 #: ``extra`` is the alphabet size where the artifact depends on it.
@@ -80,7 +79,7 @@ class CacheStats:
 
 
 class WindowCache:
-    """Per-(stream, window length) memo of slide/pack/unique artifacts.
+    """Per-(stream, window length) memo of unique/count/packed artifacts.
 
     One instance is meant to be shared by every detector and worker of
     a sweep; detectors consult it through
@@ -188,17 +187,6 @@ class WindowCache:
             # Pin the stream so its id() stays valid for the cache's life.
             self._streams.setdefault(key[0], stream)
             return entry
-
-    def windows(self, stream: np.ndarray, window_length: int) -> np.ndarray:
-        """The sliding-window view of ``stream`` at ``window_length``.
-
-        Equivalent to :func:`repro.sequences.windows.windows_array`,
-        computed at most once per (stream, window length).
-        """
-        key = (id(stream), window_length, "windows", 0)
-        return self._get(
-            stream, key, lambda: windows_array(stream, window_length)
-        )
 
     def packed_db(
         self, stream: np.ndarray, window_length: int, alphabet_size: int

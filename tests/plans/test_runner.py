@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.evaluation.experiment import run_paper_experiment
+from repro.exceptions import PlanError
 from repro.io import cell_to_record
 from repro.params import scaled_params
 from repro.plans import (
@@ -21,8 +23,10 @@ from repro.plans import (
     PlanRunner,
     RenderStage,
     SweepStage,
+    run_status,
 )
 from repro.plans.runner import (
+    append_journal,
     load_journal,
     maps_from_payload,
     payload_digest,
@@ -135,6 +139,36 @@ class TestPayloadIdentity:
         assert payload["kind"] == "ensemble"
         assert "recommendation" in payload and "agreement" in payload
         assert report.executed == 2
+
+
+class TestRunStatus:
+    """``run_status`` is CI's exactly-once gate: it must be able to fail."""
+
+    def test_duplicate_completion_is_counted(self, tmp_path: Path) -> None:
+        run_dir = tmp_path / "run"
+        PlanRunner(quick_plan(), run_dir=run_dir).run()
+        assert run_status(run_dir).endswith("done: 2/2\nduplicates: 0")
+        completed = next(
+            e for e in load_journal(run_dir) if e["stage"] == "maps"
+        )
+        append_journal(run_dir, completed)
+        assert run_status(run_dir).endswith("done: 2/2\nduplicates: 1")
+
+    def test_missing_run_directory_raises(self, tmp_path: Path, capsys) -> None:
+        missing = tmp_path / "nowhere"
+        with pytest.raises(PlanError, match="not a plan run directory"):
+            run_status(missing)
+        assert main(["plan", "status", str(missing)]) == 2
+        assert "not a plan run directory" in capsys.readouterr().err
+
+    def test_corrupt_plan_file_raises(self, tmp_path: Path, capsys) -> None:
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "plan.json").write_text('{"name": "quick", "stag')
+        with pytest.raises(PlanError, match="corrupt plan file"):
+            run_status(run_dir)
+        assert main(["plan", "status", str(run_dir)]) == 2
+        assert "corrupt plan file" in capsys.readouterr().err
 
 
 @pytest.mark.faults

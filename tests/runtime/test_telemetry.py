@@ -288,10 +288,6 @@ class TestTraceRoundTrip:
                 },
                 "plan stages",
             ),
-            ({"plan.lease.claim": 1, "plan.lease.released": 2},
-             "plan.lease.released"),
-            ({"plan.lease.claim": 1, "plan.lease.takeover": 2},
-             "plan.lease.takeover"),
         ],
         ids=[
             "cache-hit",
@@ -304,8 +300,6 @@ class TestTraceRoundTrip:
             "batch-settle",
             "flush-reasons",
             "plan-stages",
-            "lease-released",
-            "lease-takeover",
         ],
     )
     def test_check_trace_counters_flags_each_rule(

@@ -20,31 +20,23 @@ def cache() -> WindowCache:
     return WindowCache()
 
 
-class TestWindowsArtifact:
-    def test_matches_windows_array(self, cache):
-        np.testing.assert_array_equal(
-            cache.windows(STREAM, 3), windows_array(STREAM, 3)
-        )
-
+class TestUniqueArtifact:
     def test_second_lookup_returns_same_object(self, cache):
-        first = cache.windows(STREAM, 3)
-        assert cache.windows(STREAM, 3) is first
+        first = cache.unique(STREAM, 3)
+        assert cache.unique(STREAM, 3) is first
 
     def test_window_lengths_do_not_collide(self, cache):
-        assert cache.windows(STREAM, 2).shape[1] == 2
-        assert cache.windows(STREAM, 3).shape[1] == 3
+        assert cache.unique(STREAM, 2)[0].shape[1] == 2
+        assert cache.unique(STREAM, 3)[0].shape[1] == 3
 
     def test_streams_do_not_collide(self, cache):
         other = np.array([3, 3, 3, 3, 3], dtype=np.int64)
-        np.testing.assert_array_equal(
-            cache.windows(other, 2), windows_array(other, 2)
-        )
-        np.testing.assert_array_equal(
-            cache.windows(STREAM, 2), windows_array(STREAM, 2)
-        )
+        for stream in (other, STREAM):
+            rows, inverse = cache.unique(stream, 2)
+            np.testing.assert_array_equal(
+                rows[inverse], windows_array(stream, 2)
+            )
 
-
-class TestUniqueArtifact:
     @pytest.mark.parametrize("window_length", (2, 4, 6))
     def test_matches_numpy_unique(self, cache, window_length):
         rows, inverse = cache.unique(STREAM, window_length)
@@ -83,9 +75,9 @@ class TestUniqueArtifact:
 
 class TestAccounting:
     def test_stats_count_hits_and_misses(self, cache):
-        cache.windows(STREAM, 3)
-        cache.windows(STREAM, 3)
-        cache.windows(STREAM, 2)
+        cache.unique(STREAM, 3)
+        cache.unique(STREAM, 3)
+        cache.unique(STREAM, 2)
         stats = cache.stats
         assert stats.hits == 1
         assert stats.misses == 2
@@ -96,21 +88,21 @@ class TestAccounting:
         assert cache.stats.hit_rate == 0.0
 
     def test_clear_drops_entries(self, cache):
-        cache.windows(STREAM, 3)
+        cache.unique(STREAM, 3)
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
 
     def test_clear_keeps_lifetime_counters(self, cache):
-        cache.windows(STREAM, 3)
-        cache.windows(STREAM, 3)
+        cache.unique(STREAM, 3)
+        cache.unique(STREAM, 3)
         cache.clear()
         stats = cache.stats
         assert stats.hits == 1
         assert stats.misses == 1
 
     def test_merge_counts_folds_worker_stats(self, cache):
-        cache.windows(STREAM, 3)  # 1 miss
+        cache.unique(STREAM, 3)  # 1 miss
         cache.merge_counts(hits=10, misses=4)
         stats = cache.stats
         assert stats.hits == 10
@@ -123,28 +115,27 @@ class TestAccounting:
             cache.merge_counts(hits=0, misses=-1)
 
     def test_evict_one_window_length(self, cache):
-        cache.windows(STREAM, 2)
-        cache.windows(STREAM, 3)
+        cache.unique(STREAM, 2)
+        cache.unique(STREAM, 3)
         assert cache.evict(STREAM, 3) == 1
         assert len(cache) == 1
         # The survivor is still served as a hit.
-        cache.windows(STREAM, 2)
+        cache.unique(STREAM, 2)
         assert cache.stats.hits == 1
 
     def test_evict_whole_stream(self, cache):
         other = np.array([3, 3, 3, 3, 3], dtype=np.int64)
-        cache.windows(STREAM, 2)
         cache.unique(STREAM, 2)
-        cache.windows(other, 2)
+        cache.unique_counts(STREAM, 2)
+        cache.unique(other, 2)
         assert cache.evict(STREAM) == 2
         assert len(cache) == 1
-        np.testing.assert_array_equal(
-            cache.windows(other, 2), windows_array(other, 2)
-        )
+        rows, inverse = cache.unique(other, 2)
+        np.testing.assert_array_equal(rows[inverse], windows_array(other, 2))
 
     def test_evict_releases_pinned_stream_reference(self, cache):
         stream = np.array([1, 2, 1, 2, 1], dtype=np.int64)
-        cache.windows(stream, 2)
+        cache.unique(stream, 2)
         assert id(stream) in cache._streams
         cache.evict(stream, 3)  # other artifacts remain: still pinned
         assert id(stream) in cache._streams
@@ -152,7 +143,7 @@ class TestAccounting:
         assert id(stream) not in cache._streams
 
     def test_evict_unknown_stream_is_a_noop(self, cache):
-        cache.windows(STREAM, 2)
+        cache.unique(STREAM, 2)
         unknown = np.array([9, 9, 9], dtype=np.int64)
         assert cache.evict(unknown) == 0
         assert len(cache) == 1
@@ -162,7 +153,7 @@ class TestAccounting:
 
         def worker() -> None:
             start.wait()
-            cache.windows(STREAM, 3)
+            cache.unique(STREAM, 3)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
@@ -175,7 +166,7 @@ class TestAccounting:
 
 class TestReleaseStream:
     def test_release_drops_artifacts_index_and_pin(self, cache):
-        cache.windows(STREAM, 2)
+        cache.unique(STREAM, 2)
         cache.unique(STREAM, 3)
         assert id(STREAM) in cache._streams
         assert cache.release_stream(STREAM) == 2
