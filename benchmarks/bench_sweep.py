@@ -8,8 +8,7 @@ one run, so none needs a recorded baseline:
   :func:`build_performance_map` by at least 2x, cell for cell identical;
 * the vectorized batch kernels beat the per-row scalar loop by at least
   3x, window for window identical;
-* fits through the shared counting chain, and from a warm store, beat
-  cold per-cell fits;
+* fits through the shared counting chain beat cold per-cell fits;
 * arming retries and timeouts, and the disabled telemetry hooks, each
   cost at most 5% of a sweep.
 
@@ -27,7 +26,6 @@ from _artifacts import write_artifact
 from repro.detectors.registry import create_detector
 from repro.evaluation.performance_map import build_performance_map
 from repro.runtime import (
-    ArtifactStore,
     ResiliencePolicy,
     RetryPolicy,
     SweepEngine,
@@ -44,14 +42,11 @@ MAX_RESILIENCE_OVERHEAD = 0.05  # fraction of the default-policy wall clock
 MAX_TELEMETRY_OVERHEAD = 0.05  # disabled-path cost of the instrumentation
 OVERHEAD_REPS = 3
 REP_SECONDS = 1.0  # sweeping time per side in one timed unit
-# Fit-phase floors: the shared counting chain amortizes one refinement
-# per order over every (family, DW) fit; a store-warm pass performs
-# zero fits at all.
-# --quick corpora are sort-cheap, so the floors relax there.
+# Fit-phase floor: the shared counting chain amortizes one refinement
+# per order over every (family, DW) fit.
+# --quick corpora are sort-cheap, so the floor relaxes there.
 MIN_INDEX_FIT_SPEEDUP = 5.0
 MIN_INDEX_FIT_SPEEDUP_QUICK = 2.5
-MIN_STORE_FIT_SPEEDUP = 20.0
-MIN_STORE_FIT_SPEEDUP_QUICK = 10.0
 FIT_WINDOWS = tuple(range(2, 16))
 PROBE_WINDOWS = 512
 
@@ -307,27 +302,25 @@ def test_telemetry_overhead(suite):
     )
 
 
-def test_fit_phase(suite, quick, tmp_path):
-    """The fit phase: cold per-cell fits vs the counting chain vs a warm store.
+def test_fit_phase(suite, quick):
+    """The fit phase: cold per-cell fits vs the counting chain.
 
-    Three passes over every (family, DW) fit of the sweep grid:
+    Two passes over every (family, DW) fit of the sweep grid:
 
-    * **cold** — the direct per-cell reference: no cache, no store;
+    * **cold** — the direct per-cell reference: no cache;
       every fit re-slides, re-packs and re-sorts the training stream
       from scratch, exactly as a standalone ``fit`` call would;
     * **index** — one shared :class:`WindowCache`: its one
       :class:`~repro.sequences.ngram_store.NgramStore` per stream
       counts every DW's windows by refining the DW-1 order, and all
       families fold the same packed tables (one counting chain for
-      the whole grid instead of one sort per cell);
-    * **store-warm** — a pre-populated :class:`ArtifactStore`: every
-      fit is a content-addressed load, zero training work.
+      the whole grid instead of one sort per cell).
 
-    Equivalence is asserted the way it matters: each pass's fitted
+    Equivalence is asserted the way it matters: the index pass's fitted
     detectors must score an identical probe batch bit-identically to
-    the cold reference (0 mismatches).  Floors: index >= 5x cold and
-    store-warm >= 20x cold at benchmark scale (2.5x / 10x under
-    ``--quick``, where the corpus is too small for sorts to dominate).
+    the cold reference (0 mismatches).  Floor: index >= 5x cold at
+    benchmark scale (2.5x under ``--quick``, where the corpus is too
+    small for sorts to dominate).
     """
     alphabet_size = suite.training.alphabet.size
     stream = suite.training.stream
@@ -338,7 +331,7 @@ def test_fit_phase(suite, quick, tmp_path):
         for window_length in FIT_WINDOWS
     }
 
-    def fit_all(cache=None, store=None):
+    def fit_all(cache=None):
         """Fit every (family, DW) cell; returns probe scores + seconds."""
         scores = {}
         start = time.perf_counter()
@@ -347,8 +340,6 @@ def test_fit_phase(suite, quick, tmp_path):
                 detector = create_detector(name, window_length, alphabet_size)
                 if cache is not None:
                     detector.attach_cache(cache)
-                if store is not None:
-                    detector.attach_store(store)
                 detector.fit(stream)
                 scores[(name, window_length)] = detector.score_windows(
                     probes[window_length]
@@ -357,22 +348,14 @@ def test_fit_phase(suite, quick, tmp_path):
 
     cold_scores, cold_seconds = fit_all()
     index_scores, index_seconds = fit_all(cache=WindowCache())
-
-    store = ArtifactStore(tmp_path / "fit-store")
-    fit_all(cache=WindowCache(), store=store)  # populate
-    warm_scores, warm_seconds = fit_all(cache=WindowCache(), store=store)
     fits = len(FAMILIES) * len(FIT_WINDOWS)
-    assert store.stats.hits >= fits, "warm pass must load every fit"
 
     mismatched = sum(
-        not np.array_equal(cold_scores[key], other[key])
-        for other in (index_scores, warm_scores)
+        not np.array_equal(cold_scores[key], index_scores[key])
         for key in cold_scores
     )
     index_speedup = cold_seconds / index_seconds
-    store_speedup = cold_seconds / warm_seconds
     index_floor = MIN_INDEX_FIT_SPEEDUP_QUICK if quick else MIN_INDEX_FIT_SPEEDUP
-    store_floor = MIN_STORE_FIT_SPEEDUP_QUICK if quick else MIN_STORE_FIT_SPEEDUP
 
     write_artifact(
         "fit_phase",
@@ -383,21 +366,13 @@ def test_fit_phase(suite, quick, tmp_path):
                 f"  cold        {cold_seconds:>8.2f} s (per-cell reference)",
                 f"  index       {index_seconds:>8.2f} s "
                 f"({index_speedup:.1f}x)",
-                f"  store-warm  {warm_seconds:>8.2f} s "
-                f"({store_speedup:.1f}x)",
                 f"  mismatches  {mismatched}",
             ]
         ),
     )
 
-    assert mismatched == 0, (
-        "index- and store-backed fits must score bit-identically to cold"
-    )
+    assert mismatched == 0, "index-backed fits must score bit-identically to cold"
     assert index_speedup >= index_floor, (
         f"shared-index fit speedup {index_speedup:.2f}x below the "
         f"{index_floor}x floor"
-    )
-    assert store_speedup >= store_floor, (
-        f"store-warm fit speedup {store_speedup:.2f}x below the "
-        f"{store_floor}x floor"
     )

@@ -79,26 +79,6 @@ def _jobs_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="persistent fit store directory: fits are looked up by "
-        "content address (training stream + detector config + schema "
-        "version) before training and written back on a miss, so a "
-        "repeat run performs zero fits",
-    )
-    parser.add_argument(
-        "--store-cap",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="size cap for --store; least-recently-used entries are "
-        "evicted once the cap is exceeded",
-    )
-
-
 def _telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -253,16 +233,9 @@ def _engine(args: argparse.Namespace) -> "object":
         or getattr(args, "resume", None) is not None
     ):
         resilience = ResiliencePolicy()
-    store = None
-    store_dir = getattr(args, "store", None)
-    if store_dir is not None:
-        from repro.runtime.store import ArtifactStore
-
-        store = ArtifactStore(store_dir, cap_bytes=getattr(args, "store_cap", None))
     return SweepEngine(
         max_workers=getattr(args, "jobs", 1) or 1,
         resilience=resilience,
-        store=store,
         telemetry=_telemetry(args),
     )
 
@@ -319,11 +292,6 @@ def _cmd_maps(args: argparse.Namespace) -> int:
     print(result.summary())
     if engine.resilience is not None:
         print(result.run_report.summary())
-    elif engine.store is not None:
-        stats = engine.last_fit_stats
-        print(
-            f"fits: {stats.computed} computed / {stats.from_store} from store"
-        )
     if len(detectors) >= 2:
         print()
         print(map_agreement_report(result.maps))
@@ -745,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_arguments(maps)
     _jobs_argument(maps)
     _resilience_arguments(maps)
-    _store_arguments(maps)
     _telemetry_arguments(maps)
     maps.add_argument(
         "--quick",
@@ -797,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_arguments(atlas)
     _jobs_argument(atlas)
     _resilience_arguments(atlas)
-    _store_arguments(atlas)
     _telemetry_arguments(atlas)
     atlas.add_argument(
         "--detectors",
@@ -822,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_arguments(select)
     _jobs_argument(select)
     _resilience_arguments(select)
-    _store_arguments(select)
     _telemetry_arguments(select)
     select.add_argument(
         "--size",
@@ -1030,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--store",
             default=None,
             metavar="DIR",
-            help="ArtifactStore directory for stage payloads and fits "
+            help="ArtifactStore directory for stage payloads "
             "(default: <run-dir>/store)",
         )
         sub.add_argument(

@@ -23,9 +23,7 @@ import numpy as np
 
 from repro.exceptions import DetectorConfigurationError, NotFittedError, WindowError
 from repro.runtime import telemetry
-from repro.runtime.fitindex import FitRecord
 from repro.runtime.kernels import merge_sorted_counts
-from repro.runtime.store import fit_key, streams_digest
 from repro.sequences.ngram_store import NgramStore
 from repro.sequences.windows import pack_windows, window_count, windows_array
 
@@ -75,8 +73,6 @@ class AnomalyDetector(abc.ABC):
         self._response_tolerance = float(response_tolerance)
         self._state = FittedState.UNFITTED
         self._window_cache: object | None = None
-        self._store: object | None = None
-        self._last_fit_report: FitRecord | None = None
 
     # -- configuration ---------------------------------------------------------
 
@@ -121,51 +117,13 @@ class AnomalyDetector(abc.ABC):
         self._window_cache = cache
         return self
 
-    def attach_store(self, store: object | None) -> "AnomalyDetector":
-        """Back this detector with a persistent artifact store.
-
-        With a :class:`repro.runtime.store.ArtifactStore` attached,
-        :meth:`fit_many` first looks the fitted state up under the
-        content-addressed key of (training bytes, configuration, code
-        version) and only fits on a miss, writing the fresh state back
-        for every later run.  Families without a serializable state
-        (none currently) simply always fit.  Pass ``None`` to detach.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        self._store = store
-        return self
-
-    @property
-    def last_fit_report(self) -> FitRecord | None:
-        """How the most recent :meth:`fit_many` obtained its fit."""
-        return self._last_fit_report
-
-    def config_fingerprint(self) -> str:
-        """Canonical description of everything that shapes the fit.
-
-        Concatenates the family name, window length, alphabet size and
-        the family's hyperparameters (:meth:`_extra_fingerprint`); fed
-        into :func:`repro.runtime.store.fit_key` together with the
-        training-stream digest.
-        """
-        parts = [
-            f"family={self.name}",
-            f"dw={self._window_length}",
-            f"as={self._alphabet_size}",
-            f"tol={self._response_tolerance!r}",
-        ]
-        extra = self._extra_fingerprint()
-        if extra:
-            parts.append(extra)
-        return ";".join(parts)
-
     def family_fingerprint(self) -> str:
-        """:meth:`config_fingerprint` minus the window length.
+        """Canonical description of everything but the window length.
 
-        Identifies a family and its hyperparameters across every window
-        length of a sweep (experiment plans fingerprint stages by it).
+        The family name, alphabet size, tolerance and the family's
+        hyperparameters (:meth:`_extra_fingerprint`): identifies a
+        family across every window length of a sweep (experiment plans
+        fingerprint stages by it).
         """
         parts = [
             f"family={self.name}",
@@ -184,19 +142,20 @@ class AnomalyDetector(abc.ABC):
     def _fit_state(self) -> dict[str, np.ndarray] | None:
         """Serialize the fitted model as named arrays, or ``None``.
 
-        ``None`` opts the family out of the artifact store.  Subclasses
-        returning a state must make :meth:`_load_fit_state` its exact
-        inverse: a load followed by scoring must be bit-identical to
-        fitting.
+        The tenant model store persists fitted detectors through it
+        (:meth:`export_fit_state`), and delta fits are verified by
+        comparing it with a cold refit's.  Subclasses returning a state
+        must make :meth:`_load_fit_state` its exact inverse: a load
+        followed by scoring must be bit-identical to fitting.
         """
         return None
 
     def _load_fit_state(self, state: dict[str, np.ndarray]) -> bool:
         """Restore a :meth:`_fit_state` payload; ``True`` on success.
 
-        Must tolerate arbitrary payloads (the store is
-        content-addressed but corruption-tolerant): return ``False``
-        for anything unusable and the caller falls back to fitting.
+        Must tolerate arbitrary payloads (the model store's tiers are
+        corruption-tolerant): return ``False`` for anything unusable
+        and the caller falls back to fitting.
         """
         return False
 
@@ -381,8 +340,8 @@ class AnomalyDetector(abc.ABC):
         """Adopt a serialized fitted state; ``True`` on success.
 
         The public inverse of :meth:`export_fit_state` for callers
-        that persist models outside the fit-key protocol (the sharded
-        fleet store).  On success the detector is fitted.
+        that persist models (the sharded fleet store).  On success the
+        detector is fitted.
         """
         if not self._load_fit_state(dict(state)):
             return False
@@ -465,31 +424,9 @@ class AnomalyDetector(abc.ABC):
             raise WindowError(
                 f"no training stream contains a window of length {self._window_length}"
             )
-        self._last_fit_report = self._resolve_fit(usable)
+        self._fit(usable)
         self._state = FittedState.FITTED
         return self
-
-    def _resolve_fit(self, usable: list[np.ndarray]) -> FitRecord:
-        """Obtain the fitted state: from the store, or by fitting.
-
-        The store lookup happens here so every family gets persistence
-        for free: a hit loads the stored state, a miss fits and writes
-        the state back.  Either way the fitted model is a function of
-        the training streams and the configuration alone.
-        """
-        store = self._store
-        if store is None:
-            self._fit(usable)
-            return FitRecord()
-        key = fit_key(streams_digest(usable), self.config_fingerprint())
-        held = store.get(key)  # type: ignore[attr-defined]
-        if held is not None and self._load_fit_state(held):
-            return FitRecord(origin="store", store_key=key)
-        self._fit(usable)
-        state = self._fit_state()
-        if state is not None:
-            store.put(key, state)  # type: ignore[attr-defined]
-        return FitRecord(store_key=key)
 
     def _validated(self, stream: Sequence[int] | np.ndarray) -> np.ndarray:
         """Canonical int64 view of ``stream``, alphabet-checked.

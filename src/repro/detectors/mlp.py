@@ -126,9 +126,9 @@ class NextSymbolMlp:
     def export_weights(self) -> dict[str, np.ndarray]:
         """Copies of the current parameters, keyed ``w1/b1/w2/b2``.
 
-        The serialization behind the artifact store and the fleet
-        store: loading the export back (same dimensions) restores a
-        network whose predictions are bit-identical.
+        The serialization behind the fleet model store: loading the
+        export back (same dimensions) restores a network whose
+        predictions are bit-identical.
         """
         return {name: view.copy() for name, view in self._views().items()}
 
@@ -137,8 +137,8 @@ class NextSymbolMlp:
 
         Dimension-checked against this network's architecture; any
         missing or mis-shaped array leaves the network untouched and
-        returns ``False`` (the store is corruption-tolerant, so loads
-        must never trust their payload).
+        returns ``False`` (the model store is corruption-tolerant, so
+        loads must never trust their payload).
         """
         views = self._views()
         try:

@@ -28,9 +28,9 @@ from repro.detectors.base import AnomalyDetector
 from repro.detectors.mlp import MlpConfig, NextSymbolMlp
 from repro.exceptions import DetectorConfigurationError
 
-#: Version of the :meth:`NextSymbolMlp.train` algorithm, part of every
-#: fit fingerprint: stored fits trained by a different algorithm are
-#: never loaded.
+#: Version of the :meth:`NextSymbolMlp.train` algorithm, part of the
+#: family fingerprint: plan stages computed by a different algorithm
+#: are never adopted.
 KERNEL_VERSION = 2
 
 

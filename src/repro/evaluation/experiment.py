@@ -94,9 +94,9 @@ def run_paper_experiment(
             given).
         detectors: registered detector names to sweep.
         engine: the :class:`repro.runtime.SweepEngine` to sweep on; it
-            carries the worker count, resilience policy, fit store and
-            telemetry.  A serial ``SweepEngine(max_workers=1)`` is used
-            when omitted, so no pool is started unasked.  Results are
+            carries the worker count, resilience policy and telemetry.
+            A serial ``SweepEngine(max_workers=1)`` is used when
+            omitted, so no pool is started unasked.  Results are
             bit-identical to
             :func:`~repro.evaluation.performance_map.build_performance_map`
             either way.

@@ -128,9 +128,7 @@ def replicate_shapes(
         stream_length: test-stream length per injected case.
         engine: the :class:`repro.runtime.SweepEngine` each seed's
             families are swept on, in one sweep per seed; a serial
-            ``SweepEngine(max_workers=1)`` when omitted.  Its fit store,
-            if any, collapses identical (stream, config) fits across
-            campaigns to one fit ever.
+            ``SweepEngine(max_workers=1)`` when omitted.
         checkpoint_dir: directory for per-seed checkpoint files
             (``replication-seed<seed>.jsonl``).  Completed cells are
             streamed there, and a re-run of an interrupted replication

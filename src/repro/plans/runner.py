@@ -286,8 +286,7 @@ def execute_stage(
         stage: the typed stage to execute.
         results: live results of already-executed stages, by name
             (``ensemble``/``render`` read their sweep dependency here).
-        engine: the shared :class:`~repro.runtime.SweepEngine`; it
-            carries the fit store.
+        engine: the shared :class:`~repro.runtime.SweepEngine`.
         cells_dir: directory for the stage's JSONL cell checkpoints;
             ``None`` disables cell-level resume.
         checkpoint: explicit cell-checkpoint path overriding
@@ -440,11 +439,11 @@ class PlanRunner:
             outputs; ``None`` runs fully in memory (the thin-wrapper
             mode behind ``repro maps``).
         store: an :class:`~repro.runtime.store.ArtifactStore` or its
-            directory path; defaults to ``<run_dir>/store`` when a run
-            directory is given, else no caching.
+            directory path for stage payloads; defaults to
+            ``<run_dir>/store`` when a run directory is given, else no
+            caching.
         engine: a pre-built :class:`~repro.runtime.SweepEngine`; when
-            omitted one is assembled from ``jobs``/``resilience`` and
-            the store.
+            omitted one is assembled from ``jobs``/``resilience``.
         jobs: engine worker count for the assembled engine (1 runs
             serially, more runs a process pool).
         resilience: a :class:`~repro.runtime.resilience.ResiliencePolicy`
@@ -485,7 +484,6 @@ class PlanRunner:
             engine = SweepEngine(
                 max_workers=jobs,
                 resilience=resilience,
-                store=self.store,
                 telemetry=telemetry,
             )
         elif telemetry is not None and engine.telemetry is None:

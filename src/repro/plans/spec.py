@@ -31,9 +31,8 @@ recipe covering the plan schema version, the store schema version,
 the stage's own configuration, the fingerprints of its dependencies
 (so an upstream change invalidates everything downstream), and the
 detector family fingerprints from
-:meth:`~repro.detectors.base.AnomalyDetector.family_fingerprint` —
-the same content-addressing discipline as
-:func:`repro.runtime.store.fit_key`.  Identical plan → identical
+:meth:`~repro.detectors.base.AnomalyDetector.family_fingerprint`.
+Identical plan → identical
 fingerprints, across processes and machines; the fingerprint is what
 makes a re-run with unchanged configuration compute nothing.
 """
@@ -583,9 +582,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 def stage_key(fingerprint: str) -> str:
     """ArtifactStore key for one stage's output payload.
 
-    Mirrors :func:`repro.runtime.store.fit_key`: the sha256 of a
-    versioned recipe over the stage's content fingerprint, so plan
-    outputs and detector fits share one store without collisions.
+    The sha256 of a versioned recipe over the stage's content
+    fingerprint, so plan outputs share one store with the other
+    artifact kinds without collisions.
     """
     recipe = f"repro-plan-output/{PLAN_SCHEMA_VERSION}\nstage={fingerprint}\n"
     return hashlib.sha256(recipe.encode("utf-8")).hexdigest()

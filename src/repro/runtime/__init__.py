@@ -46,14 +46,9 @@ from importlib import import_module
 _EXPORTS: dict[str, str] = {
     "CacheStats": "repro.runtime.cache",
     "WindowCache": "repro.runtime.cache",
-    "FitRecord": "repro.runtime.fitindex",
-    "FitStats": "repro.runtime.fitindex",
     "ArtifactStore": "repro.runtime.store",
     "STORE_SCHEMA_VERSION": "repro.runtime.store",
-    "StoreStats": "repro.runtime.store",
-    "fit_key": "repro.runtime.store",
     "stream_digest": "repro.runtime.store",
-    "streams_digest": "repro.runtime.store",
     "fit_states_equal": "repro.runtime.deltafit",
     "verify_delta": "repro.runtime.deltafit",
     "HotTier": "repro.runtime.shardstore",
@@ -62,6 +57,7 @@ _EXPORTS: dict[str, str] = {
     "ShardStoreStats": "repro.runtime.shardstore",
     "SHARD_SCHEMA_VERSION": "repro.runtime.shardstore",
     "EXECUTORS": "repro.runtime.engine",
+    "FitStats": "repro.runtime.engine",
     "SweepEngine": "repro.runtime.engine",
     "evaluate_window_block": "repro.runtime.engine",
     "sorted_membership": "repro.runtime.kernels",

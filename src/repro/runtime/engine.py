@@ -52,6 +52,7 @@ import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.datagen.suite import EvaluationSuite
@@ -66,7 +67,6 @@ from repro.exceptions import (
 )
 from repro.runtime.cache import CacheStats, WindowCache
 from repro.runtime.faults import FaultSchedule, apply_fault, corrupt_block
-from repro.runtime.fitindex import FitLedger, FitRecord, FitStats
 from repro.runtime.resilience import (
     ResiliencePolicy,
     ResilientRunner,
@@ -75,7 +75,6 @@ from repro.runtime.resilience import (
     TaskReport,
     handoff_prefix,
 )
-from repro.runtime.store import ArtifactStore
 from repro.runtime import telemetry
 from repro.runtime.telemetry import (
     Telemetry,
@@ -89,11 +88,23 @@ DetectorFactory = Callable[[int], AnomalyDetector]
 EXECUTORS: tuple[str, ...] = ("process", "serial")
 
 
+@dataclass(frozen=True)
+class FitStats:
+    """Fit accounting of one sweep.
+
+    Attributes:
+        computed: (family, window) blocks the sweep fitted and scored;
+            blocks adopted from a ``resume_from`` checkpoint are not
+            counted.
+    """
+
+    computed: int = 0
+
+
 def evaluate_window_block(
     detector: AnomalyDetector,
     suite: EvaluationSuite,
     cache: WindowCache | None = None,
-    store: ArtifactStore | None = None,
 ) -> list[CellResult]:
     """Fit one detector and score it on every anomaly size of the suite.
 
@@ -105,18 +116,12 @@ def evaluate_window_block(
         suite: the evaluation corpus.
         cache: shared window artifacts; attached to the detector for
             the duration of the block when given.
-        store: persistent artifact store; when given, the fit is
-            looked up by content address before any training work and
-            written back on a miss.  How the fit was obtained is
-            reported via ``detector.last_fit_report``.
 
     Returns:
         One :class:`CellResult` per anomaly size, ascending.
     """
     if cache is not None:
         detector.attach_cache(cache)
-    if store is not None:
-        detector.attach_store(store)
     with telemetry.span(
         "fit", detector.name, window_length=detector.window_length
     ):
@@ -169,24 +174,20 @@ def _process_resilient_block(
     handoff: str,
     detector_kwargs: dict[str, object],
     schedule: FaultSchedule | None,
-    store_spec: tuple[str, int | None] | None,
     telemetry_spec: TelemetryConfig | None,
     attempt: int,
-) -> tuple[list[CellResult], CacheStats, FitRecord | None, dict | None]:
+) -> tuple[list[CellResult], CacheStats, dict | None]:
     """Process-pool entry point: one (family, window) block.
 
     The attempt number and the (test-only) fault schedule are threaded
     through, so injected faults fire deterministically inside the
     worker.  The suite comes from the sweep's ``handoff`` file (see
     :func:`_load_handoff`).  This task's counter *delta* against the
-    worker-wide cache, the block's :class:`FitRecord` and the task's
-    telemetry snapshot ride back with the results so the parent can
-    fold them into the engine cache's statistics, the sweep's fit
-    ledger and the sweep's telemetry (see
+    worker-wide cache and the task's telemetry snapshot ride back with
+    the results so the parent can fold them into the engine cache's
+    statistics and the sweep's telemetry (see
     :meth:`WindowCache.merge_counts` and
-    :meth:`~repro.runtime.telemetry.Telemetry.merge_snapshot`).  The
-    store is rebuilt from its picklable spec: the directory is the
-    shared state, so a per-task instance is equivalent.
+    :meth:`~repro.runtime.telemetry.Telemetry.merge_snapshot`).
     """
     corrupt = apply_fault(schedule, f"{name}:{window_length}", attempt)
     task_telemetry = Telemetry.from_spec(telemetry_spec)
@@ -199,12 +200,7 @@ def _process_resilient_block(
             detector = create_detector(
                 name, window_length, suite.training.alphabet.size, **detector_kwargs
             )
-            cells = evaluate_window_block(
-                detector,
-                suite,
-                cache=cache,
-                store=ArtifactStore.from_spec(store_spec),
-            )
+            cells = evaluate_window_block(detector, suite, cache=cache)
         after = cache.stats
         stats = CacheStats(
             hits=after.hits - before.hits, misses=after.misses - before.misses
@@ -214,7 +210,7 @@ def _process_resilient_block(
     )
     if corrupt:
         cells = corrupt_block(cells)
-    return cells, stats, detector.last_fit_report, snapshot
+    return cells, stats, snapshot
 
 
 class SweepEngine:
@@ -235,18 +231,11 @@ class SweepEngine:
             (retries with backoff, per-task timeouts, backend
             degradation) every sweep runs under; ``None`` applies the
             default policy.
-        store: a persistent :class:`~repro.runtime.store.ArtifactStore`
-            (or its directory path) backing every fit of every sweep:
-            fits are looked up by content address before any training
-            work and written back on a miss, so re-runs skip fitting
-            entirely.  A stored fit is bit-identical to a fresh one,
-            so a store never changes a map.  ``None`` (the default)
-            disables persistence.
         telemetry: a :class:`~repro.runtime.telemetry.Telemetry`
             collector activated for the duration of every sweep: spans
             and metrics from every instrumented component (this engine,
-            the window cache, the artifact store, the fit index, the
-            resilient scheduler, the batch kernels) accumulate on it,
+            the window cache, the counting chain, the resilient
+            scheduler, the batch kernels) accumulate on it,
             including snapshots merged back from process workers.
             ``None`` (the default) keeps every instrumentation site on
             its single-branch disabled path.
@@ -264,7 +253,6 @@ class SweepEngine:
         executor: str | None = None,
         window_cache: WindowCache | None = None,
         resilience: ResiliencePolicy | None = None,
-        store: ArtifactStore | str | Path | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if executor is not None and executor not in EXECUTORS:
@@ -277,10 +265,7 @@ class SweepEngine:
         self._executor = executor
         self._cache = window_cache if window_cache is not None else WindowCache()
         self._resilience = resilience
-        self._store = (
-            ArtifactStore(store) if isinstance(store, (str, Path)) else store
-        )
-        self._ledger: FitLedger | None = None
+        self._fits_computed = 0
         self._last_fit_stats = FitStats()
         # The suite the cache holds streams of; released when a sweep
         # moves on to another suite.
@@ -310,11 +295,6 @@ class SweepEngine:
         return self._resilience
 
     @property
-    def store(self) -> ArtifactStore | None:
-        """The persistent artifact store (``None`` when disabled)."""
-        return self._store
-
-    @property
     def last_fit_stats(self) -> FitStats:
         """Fit accounting of the most recent sweep on this engine."""
         return self._last_fit_stats
@@ -334,8 +314,8 @@ class SweepEngine:
 
         Opens the root ``sweep`` span, and on the way out — success or
         abort — emits the end-of-sweep summary counters derived from
-        the engine's authoritative sources (the fit ledger and the
-        engine cache's stats delta), which
+        the engine's authoritative sources (its computed-block count
+        and the engine cache's stats delta), which
         :func:`~repro.runtime.telemetry.check_trace_counters`
         cross-checks against the event counters the components emitted
         along the way.  Pass-through when no telemetry is attached.
@@ -368,18 +348,12 @@ class SweepEngine:
         one engine accumulate consistently with the per-event counters
         they mirror.
         """
-        fit_stats = (
-            self._ledger.snapshot() if self._ledger is not None else FitStats()
-        )
         cache_after = self._cache.stats
         metrics = collector.metrics
-        metrics.count("fits.computed", fit_stats.computed)
-        metrics.count("fits.from_store", fit_stats.from_store)
+        metrics.count("fits.computed", self._fits_computed)
         metrics.count("cache.hits", cache_after.hits - cache_before.hits)
         metrics.count("cache.misses", cache_after.misses - cache_before.misses)
         metrics.count("sweep.count", 1)
-        if self._store is not None:
-            metrics.count("sweep.with_store", 1)
 
     def _resolve(
         self,
@@ -510,7 +484,7 @@ class SweepEngine:
                 f"fault_schedule must be a FaultSchedule, got {type(schedule).__name__}"
             )
         names = [name for name, _registry, _factory in resolved]
-        self._ledger = FitLedger()
+        self._fits_computed = 0
         cells: dict[str, dict[Cell, CellResult]] = {name: {} for name in names}
         skip: set[tuple[str, int]] = set()
         resumed_reports: list[TaskReport] = []
@@ -531,11 +505,10 @@ class SweepEngine:
             )
 
             def on_result(task: SweepTask, result: object) -> None:
-                results, stats, record, snapshot = result  # type: ignore[misc]
+                results, stats, snapshot = result  # type: ignore[misc]
+                self._fits_computed += 1
                 if stats is not None:
                     self._cache.merge_counts(stats.hits, stats.misses)
-                if record is not None and self._ledger is not None:
-                    self._ledger.record(record)
                 if snapshot is not None and self._telemetry is not None:
                     self._telemetry.merge_snapshot(snapshot)
                 self._collect(cells, task.name, results)
@@ -629,17 +602,9 @@ class SweepEngine:
         with telemetry.span(
             "block", f"{name}:{window_length}"
         ), telemetry.profiled():
-            detector = factory(window_length)
-            results = evaluate_window_block(
-                detector,
-                suite,
-                cache=self._cache,
-                store=self._store,
+            return evaluate_window_block(
+                factory(window_length), suite, cache=self._cache
             )
-        ledger = self._ledger
-        if ledger is not None:
-            ledger.record(detector.last_fit_report)
-        return results
 
     @staticmethod
     def _collect(
@@ -682,21 +647,14 @@ class SweepEngine:
                     _window_length: int = window_length,
                     _name: str = name,
                     _key: str = key,
-                ) -> tuple[
-                    list[CellResult],
-                    CacheStats | None,
-                    FitRecord | None,
-                    dict | None,
-                ]:
+                ) -> tuple[list[CellResult], None, None]:
                     corrupt = apply_fault(schedule, _key, attempt)
-                    # _run_block records its FitRecord in the engine
-                    # ledger itself; only process payloads ship one back.
                     results = self._run_block(
                         _factory, _window_length, suite, _name
                     )
                     if corrupt:
                         results = corrupt_block(results)
-                    return results, None, None, None
+                    return results, None, None
 
                 def validate(
                     result: object,
@@ -722,7 +680,6 @@ class SweepEngine:
                             handoff,
                             detector_kwargs,
                             schedule,
-                            self._store.spec() if self._store is not None else None,
                             self._telemetry.spec()
                             if self._telemetry is not None
                             else None,
@@ -810,10 +767,7 @@ class SweepEngine:
         checkpoint: str | Path | None,
     ) -> RunReport:
         computed = sum(len(family) for family in cells.values()) - cells_resumed
-        fit_stats = (
-            self._ledger.snapshot() if self._ledger is not None else FitStats()
-        )
-        self._last_fit_stats = fit_stats
+        self._last_fit_stats = FitStats(computed=self._fits_computed)
         return RunReport(
             requested_backend=backend,
             final_backend=runner.final_backend,
@@ -823,8 +777,7 @@ class SweepEngine:
             cells_resumed=cells_resumed,
             elapsed=elapsed,
             checkpoint_path=str(checkpoint) if checkpoint is not None else None,
-            fits_computed=fit_stats.computed,
-            fits_from_store=fit_stats.from_store,
+            fits_computed=self._fits_computed,
             telemetry=(
                 self._telemetry.snapshot()["metrics"]
                 if self._telemetry is not None

@@ -230,13 +230,8 @@ class RunReport:
         cells_resumed: grid cells loaded from the resume checkpoint.
         elapsed: sweep wall-clock seconds.
         checkpoint_path: where completed cells were streamed (or None).
-        fits_computed: detector fits that ran the training work (not
-            served by the artifact store).
-        fits_from_store: fits loaded from the persistent artifact
-            store — zero training work.  A store-warm re-run of an
-            identical sweep reports ``fits_computed == 0`` and all
-            fits here (the CI cold/warm job pair asserts exactly
-            this).
+        fits_computed: (family, window) blocks fitted and scored by
+            this run (resumed blocks excluded).
         telemetry: metrics snapshot (``Telemetry.snapshot()["metrics"]``)
             for the run when the engine carried a telemetry collector,
             ``None`` otherwise.
@@ -251,7 +246,6 @@ class RunReport:
     elapsed: float
     checkpoint_path: str | None = None
     fits_computed: int = 0
-    fits_from_store: int = 0
     telemetry: dict | None = None
 
     @property
@@ -287,11 +281,6 @@ class RunReport:
             f"{self.resumed} resumed",
             f"{self.total_retries} retries",
         ]
-        if self.fits_from_store:
-            parts.append(
-                f"fits: {self.fits_computed} computed / "
-                f"{self.fits_from_store} from store"
-            )
         if self.degradations:
             parts.append(f"degraded {' then '.join(self.degradations)}")
         backend = (

@@ -1,16 +1,16 @@
 """Zero-dependency runtime telemetry: spans, metrics, profiling hooks.
 
-When a 448-cell atlas sweep is slow, retries, or misses its artifact
-store, the single ``fits:`` summary line cannot say *why*.  This module
-is the observability layer the rest of :mod:`repro.runtime` reports
-into:
+When a 448-cell atlas sweep is slow or retries, its printed maps
+cannot say *why*.  This module is the observability layer the rest of
+:mod:`repro.runtime` reports into:
 
 * :class:`Tracer` — nested spans over the sweep's phases (``sweep``,
   ``block``, ``fit``, ``score``, ``cache``, ``store``, ``retry``,
   ``fitindex``, ``kernel``), each carrying wall-clock and
   per-thread CPU time plus free-form attributes;
-* :class:`Metrics` — counters (cache/store hits, retries, timeouts)
-  and histograms (kernel batch sizes, per-cell wall/CPU time);
+* :class:`Metrics` — counters (cache hits, store lookups, retries,
+  timeouts) and histograms (kernel batch sizes, per-cell wall/CPU
+  time);
 * an opt-in :mod:`cProfile` hook — per worker thread in the parent and
   per worker process under the process backend, dumped as ``.pstats``
   files into a caller-chosen directory.
@@ -776,17 +776,12 @@ def check_trace_counters(
     """Cross-check a trace's event counters against the sweep summaries.
 
     The sweep engine emits, per sweep, summary counters derived from
-    its authoritative sources — the :class:`~repro.runtime.fitindex.FitLedger`
-    (``fits.*``) and the engine cache's stats delta (``cache.hits``/
-    ``cache.misses``).  Those must agree exactly with the event
-    counters the instrumented components emitted along the way:
+    its authoritative sources — its computed-block count
+    (``fits.computed``) and the engine cache's stats delta
+    (``cache.hits``/``cache.misses``).  The cache summaries must agree
+    exactly with the event counters the cache emitted along the way:
 
     * ``cache.hit``/``cache.miss`` events == the cache stats delta;
-    * ``store.hit`` events == ``fits.from_store`` (every store-served
-      fit is exactly one store hit);
-    * when every sweep ran with a store, ``store.miss`` events ==
-      ``fits.computed`` (every computed fit paid exactly one store
-      miss first);
     * the serving fleet store's accounting balances: hot-tier inserts
       minus evictions minus removals equals the resident-entry
       counter, the resident byte gauges never go negative, and
@@ -821,17 +816,6 @@ def check_trace_counters(
             )
             if counter(event_name) != counter(summary_name)
         )
-        if counter("store.hit") != counter("fits.from_store"):
-            problems.append(
-                f"store.hit events ({counter('store.hit'):g}) != "
-                f"fits.from_store ({counter('fits.from_store'):g})"
-            )
-        if counter("sweep.with_store") == counter("sweep.count"):
-            if counter("store.miss") != counter("fits.computed"):
-                problems.append(
-                    f"store.miss events ({counter('store.miss'):g}) != "
-                    f"fits.computed ({counter('fits.computed'):g})"
-                )
     if "serve.hot.insert" in counters or "serve.hot.resident_entries" in counters:
         flow = (
             counter("serve.hot.insert")
@@ -900,8 +884,8 @@ def summarize_trace(path: str | Path) -> str:
     """Render a per-phase time table plus the headline rates.
 
     The human entry point behind ``repro trace summarize``: total wall
-    and CPU seconds per span phase, then cache/store hit rates, fit
-    provenance and retry counts from the metric lines.
+    and CPU seconds per span phase, then the cache hit rate, fit and
+    retry counts from the metric lines.
     """
     from repro.analysis.report import format_table
 
@@ -939,9 +923,7 @@ def summarize_trace(path: str | Path) -> str:
 
     lines = [
         f"cache hit rate: {rate('cache.hit', 'cache.miss')}",
-        f"store hit rate: {rate('store.hit', 'store.miss')}",
-        f"fits: {counters.get('fits.computed', 0):g} computed / "
-        f"{counters.get('fits.from_store', 0):g} from store",
+        f"fits: {counters.get('fits.computed', 0):g} computed",
         f"retries: {counters.get('task.retries', 0):g} "
         f"({counters.get('task.timeouts', 0):g} timeouts)",
     ]

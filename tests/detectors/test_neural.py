@@ -7,7 +7,6 @@ import pytest
 
 from repro.detectors.mlp import MlpConfig
 from repro.detectors.neural import NeuralDetector
-from repro.runtime.store import ArtifactStore, fit_key, streams_digest
 from repro.sequences.windows import windows_array
 
 CYCLE = [0, 1, 2, 3] * 50
@@ -140,25 +139,16 @@ class TestPaperBehavior:
 
 
 class TestKernelVersioning:
-    """Fits of the version-1 training algorithm are never loaded."""
+    """Plan stages computed by the version-1 training algorithm are
+    never adopted."""
 
-    #: The fingerprint of a version-1 fit of ``NeuralDetector(2, 4, FAST)``.
+    #: The family fingerprint of a version-1 ``NeuralDetector(2, 4, FAST)``.
     VERSION_1 = (
-        "family=neural-network;dw=2;as=4;tol=0.1;hidden=16;lr=0.6;"
+        "family=neural-network;as=4;tol=0.1;hidden=16;lr=0.6;"
         "mom=0.9;epochs=250;seed=3;init=0.5"
     )
 
     def test_fingerprint_carries_the_kernel_version(self):
-        fingerprint = NeuralDetector(2, 4, config=FAST).config_fingerprint()
+        fingerprint = NeuralDetector(2, 4, config=FAST).family_fingerprint()
         assert fingerprint.endswith(";kernel=2")
-        assert fingerprint != self.VERSION_1
-
-    def test_version_1_fit_in_the_store_is_a_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digest = streams_digest([np.asarray(CYCLE)])
-        stale = NeuralDetector(2, 4, config=FAST).fit(CYCLE)._fit_state()
-        store.put(fit_key(digest, self.VERSION_1), stale)
-        detector = NeuralDetector(2, 4, config=FAST).attach_store(store)
-        detector.fit(CYCLE)
-        assert detector.last_fit_report.origin == "computed"
-        assert detector.last_fit_report.store_key != fit_key(digest, self.VERSION_1)
+        assert fingerprint == self.VERSION_1 + ";kernel=2"

@@ -1,5 +1,5 @@
 """Tests for the fit index: the window cache's one counting chain per
-stream, and the fit accounting in :mod:`repro.runtime.fitindex`.
+stream.
 
 The contract: for ANY window length, the ``unique``/``unique_counts``/
 ``packed_db`` tables a :class:`~repro.runtime.cache.WindowCache` reads
@@ -20,7 +20,6 @@ import pytest
 from repro.detectors.registry import create_detector
 from repro.exceptions import WindowError
 from repro.runtime import WindowCache
-from repro.runtime.fitindex import FitLedger, FitRecord
 from repro.sequences.windows import pack_windows, packable, windows_array
 from tests.sequences.test_ngram_store import (
     assert_same,
@@ -155,14 +154,3 @@ class TestIndexDerivedDetectorTables:
             direct.score_windows(probe), indexed.score_windows(probe)
         )
 
-
-class TestFitLedger:
-    def test_snapshot_counts_origins(self):
-        ledger = FitLedger()
-        ledger.record(FitRecord(origin="computed"))
-        ledger.record(FitRecord(origin="store"))
-        ledger.record(FitRecord(origin="computed"))
-        ledger.record(None)  # factory path: no record
-        stats = ledger.snapshot()
-        assert stats.computed == 2
-        assert stats.from_store == 1

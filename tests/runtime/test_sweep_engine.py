@@ -162,6 +162,45 @@ class TestEngineValidation:
             SweepEngine(executor="process").sweep((factory,), suite)
 
 
+class TestFitStats:
+    """``last_fit_stats.computed``: the blocks a sweep fitted itself.
+
+    perfbench's ``maps`` workload reports it as ``engine.fits_computed``.
+    """
+
+    #: The four families of the paper's Figures 3-6.
+    PAPER = ("stide", "markov", "lane-brodley", "neural-network")
+
+    def test_counts_every_block_serial_and_process(self, suite):
+        blocks = len(self.PAPER) * len(suite.window_lengths)
+        serial = SweepEngine(max_workers=1)
+        serial_maps = serial.sweep(self.PAPER, suite)
+        assert serial.last_fit_stats.computed == blocks
+        pooled = SweepEngine(max_workers=2)
+        pooled_maps, report = pooled.sweep_with_report(self.PAPER, suite)
+        assert report.final_backend == "process"
+        assert pooled.last_fit_stats.computed == blocks
+        assert report.fits_computed == blocks
+        for name in self.PAPER:
+            _assert_maps_identical(serial_maps[name], pooled_maps[name], suite)
+
+    @pytest.mark.parametrize("max_workers", (1, 2))
+    def test_resumed_blocks_are_not_counted(self, suite, tmp_path, max_workers):
+        checkpoint = tmp_path / "cells.jsonl"
+        SweepEngine(max_workers=1).sweep(["stide"], suite, checkpoint=checkpoint)
+        engine = SweepEngine(max_workers=max_workers)
+        maps, report = engine.sweep_with_report(
+            ["stide", "markov"], suite, resume_from=checkpoint
+        )
+        windows = len(suite.window_lengths)
+        assert report.resumed == windows
+        assert engine.last_fit_stats.computed == windows
+        assert report.fits_computed == windows
+        plain = SweepEngine(max_workers=1).sweep(["stide", "markov"], suite)
+        for name in ("stide", "markov"):
+            _assert_maps_identical(plain[name], maps[name], suite)
+
+
 class TestCacheSharing:
     def test_families_share_one_training_sort(self, suite):
         engine = SweepEngine(max_workers=2)

@@ -248,17 +248,6 @@ class TestTraceRoundTrip:
         [
             ({"sweep.count": 1, "cache.hit": 3, "cache.hits": 2}, "cache.hit"),
             ({"sweep.count": 1, "cache.miss": 1}, "cache.miss"),
-            ({"sweep.count": 1, "store.hit": 2, "fits.from_store": 1},
-             "store.hit"),
-            (
-                {
-                    "sweep.count": 1,
-                    "sweep.with_store": 1,
-                    "store.miss": 1,
-                    "fits.computed": 3,
-                },
-                "store.miss",
-            ),
             (
                 {
                     "serve.hot.insert": 3,
@@ -292,8 +281,6 @@ class TestTraceRoundTrip:
         ids=[
             "cache-hit",
             "cache-miss",
-            "store-hit",
-            "store-miss",
             "hot-tier-flow",
             "negative-gauge",
             "delta-diverged",
@@ -356,6 +343,9 @@ class TestSweepTelemetry:
         }
         grid = len(small_suite.anomaly_sizes) * len(small_suite.window_lengths)
         assert histograms["cell.wall"]["count"] == grid * len(FAMILIES)
+        assert counters["fits.computed"] == len(FAMILIES) * len(
+            small_suite.window_lengths
+        )
 
     def test_process_sweep_merges_worker_snapshots(
         self, small_suite, tmp_path
@@ -381,39 +371,6 @@ class TestSweepTelemetry:
         spans, counters, _ = self._check(telemetry, tmp_path, "resilient")
         assert report.telemetry is not None
         assert report.telemetry["counters"] == counters
-
-    def test_store_counters_mirror_fit_provenance(
-        self, small_suite, tmp_path
-    ):
-        store_dir = tmp_path / "store"
-        cold = Telemetry()
-        engine = SweepEngine(
-            executor="serial",
-            store=store_dir,
-            telemetry=cold,
-        )
-        engine.sweep(FAMILIES, small_suite)
-        _headers, spans, cold_counters, _ = read_trace(
-            cold.write_trace(tmp_path / "cold.jsonl")
-        )
-        assert check_trace_counters(cold_counters, spans) == []
-        assert cold_counters["store.miss"] == cold_counters["fits.computed"]
-        assert cold_counters["store.put"] == cold_counters["fits.computed"]
-        assert cold_counters.get("store.hit", 0) == 0
-
-        warm = Telemetry()
-        rerun = SweepEngine(
-            executor="serial",
-            store=store_dir,
-            telemetry=warm,
-        )
-        rerun.sweep(FAMILIES, small_suite)
-        _, spans, warm_counters, _ = read_trace(
-            warm.write_trace(tmp_path / "warm.jsonl")
-        )
-        assert check_trace_counters(warm_counters, spans) == []
-        assert warm_counters["fits.computed"] == 0
-        assert warm_counters["store.hit"] == warm_counters["fits.from_store"]
 
     def test_disabled_telemetry_is_a_no_op_on_the_maps(self, small_suite):
         plain = SweepEngine(executor="serial").sweep(FAMILIES, small_suite)

@@ -61,12 +61,20 @@ class TestParser:
         assert pooled.max_workers == 2
 
     @pytest.mark.parametrize(
-        "knob", (["--executor", "serial"], ["--no-shm"])
+        "knob",
+        (
+            ["--executor", "serial"],
+            ["--no-shm"],
+            ["--store", "x"],
+            ["--store-cap", "1"],
+        ),
     )
     def test_backend_knobs_are_gone(self, knob, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["maps", *knob])
-        assert "unrecognized arguments" in capsys.readouterr().err
+        for command in ("maps", "atlas", "select"):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args([command, *knob])
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMapsCommand:
